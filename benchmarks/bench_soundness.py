@@ -1,6 +1,6 @@
 """Sound branch-and-bound verification: convergence and dominance.
 
-Tracks the verifier the way BENCH_incremental.json tracks proposal
+Tracks the verifier the way BENCH_vector.json tracks dispatch
 throughput: for each kernel, the certified bound at box budgets
 64/256/1024/4096 (serial and with a worker pool), checked against two
 obligations —

@@ -80,8 +80,7 @@ def cmd_optimize(args) -> int:
     tests = uniform_testcases(random.Random(args.seed), args.testcases,
                               ranges)
     stoke = Stoke(target, tests, args.live_out,
-                  CostConfig(eta=args.eta, k=args.k),
-                  backend=args.backend)
+                  CostConfig(eta=args.eta, k=args.k))
     config = SearchConfig(proposals=args.proposals, seed=args.seed)
     restarts = run_restarts(stoke, config, chains=args.restarts,
                             jobs=args.jobs,
@@ -413,7 +412,7 @@ def cmd_submit(args) -> int:
         kernels=kernels, chains=args.chains, proposals=args.proposals,
         testcases=args.testcases, seed=args.seed, stages=stages,
         validate_proposals=args.validate_proposals,
-        verify_budget=args.verify_budget, backend=args.backend,
+        verify_budget=args.verify_budget,
         verify_domain=args.verify_domain)
     if args.url:
         from repro.service.api import ServiceClient
@@ -893,11 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="LOC=LO:HI")
     opt.add_argument("--eta", type=float, default=0.0)
     opt.add_argument("--k", type=float, default=1.0)
-    opt.add_argument("--proposals", type=int, default=10_000)
-    opt.add_argument("--testcases", type=int, default=32)
+    opt.add_argument("--proposals", type=_positive_int, default=10_000)
+    opt.add_argument("--testcases", type=_positive_int, default=32)
     opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--backend", default="jit", choices=known_backends(),
-                     help="execution backend for the cost function")
     opt.add_argument("--restarts", type=_positive_int, default=1,
                      metavar="N",
                      help="independent chains with seeds seed, seed+1, ... "
@@ -915,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--range", nargs="+", required=True,
                      metavar="LOC=LO:HI")
     val.add_argument("--eta", type=float, default=0.0)
-    val.add_argument("--proposals", type=int, default=20_000)
+    val.add_argument("--proposals", type=_positive_int, default=20_000)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--backend", default="jit", choices=known_backends(),
                      help="execution backend for error evaluation")
@@ -1016,9 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify-domain", choices=("separate", "relational"),
                     default="separate",
                     help="abstract domain for bnb verify cells")
-    sp.add_argument("--backend", default="jit", choices=known_backends(),
-                     help="execution backend for the campaign's "
-                          "search jobs")
     sp.add_argument("--max-attempts", type=_positive_int, default=3)
     sp.add_argument("--name", default="campaign")
     sp.add_argument("--catalog", action="store_true",

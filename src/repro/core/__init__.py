@@ -3,7 +3,6 @@
 from repro.core.backends import (
     Backend,
     known_backends,
-    register_backend,
     resolve_backend,
 )
 from repro.core.cost import CostConfig, CostFunction, CostResult
@@ -38,7 +37,6 @@ from repro.core.transforms import OperandPool, Transforms, default_opcode_pool
 __all__ = [
     "Backend",
     "known_backends",
-    "register_backend",
     "resolve_backend",
     "CostConfig",
     "CostFunction",

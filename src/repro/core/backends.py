@@ -1,13 +1,19 @@
-"""The execution-backend registry: one source of truth for backend names.
+"""The execution backends: one source of truth for backend names.
 
-Every seam that accepts a backend choice — :class:`repro.core.runner.Runner`,
-the cost function's incremental planner, the CLI's ``--backend`` flags, and
-service job payloads — validates against this registry, so adding a backend
-(or catching a typo with a helpful error) happens in exactly one place.
+Every seam that accepts a backend choice — :class:`repro.core.runner.Runner`
+(and through it the cost function and the validator), the CLI's
+``validate --backend``, ``verify --backend`` and ``catalog build
+--measure-backend`` flags — validates against :data:`BACKENDS`, so a typo
+gets one helpful error listing the valid choices.
+
+Each consumer has its own default, chosen from end-to-end measurements:
+search interprets every proposal on the emulator, validation runs one
+program pair many times on the JIT, and bulk fixed-program measurement
+(exhaustive checks, catalog latency probes) runs on the vector backend.
 
 A backend is either *compiled* (``prepare`` translates the program once
 into an object exposing the ``CompiledProgram`` execution surface —
-``writes``, ``run``, ``run_batch``, ``run_from``, ``run_batch_from``) or
+``writes``, ``run``, ``run_batch``, ``run_batch_from``) or
 *interpreted* (``prepare`` is the identity and execution goes through an
 :class:`~repro.x86.emulator.Emulator`).
 """
@@ -37,32 +43,26 @@ class Backend:
     prepare: Callable[[Program], object]
 
 
-_REGISTRY: Dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Add a backend to the registry (last registration wins)."""
-    _REGISTRY[backend.name] = backend
-    return backend
+BACKENDS: Dict[str, Backend] = {
+    backend.name: backend for backend in (
+        Backend("emulator", compiled=False, prepare=lambda program: program),
+        Backend("jit", compiled=True, prepare=compile_program),
+        Backend("vector", compiled=True, prepare=vectorize_program),
+    )
+}
 
 
 def known_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted for stable display."""
-    return tuple(sorted(_REGISTRY))
+    """Backend names, sorted for stable display."""
+    return tuple(sorted(BACKENDS))
 
 
 def resolve_backend(name: str) -> Backend:
     """Look up a backend by name; unknown names list the valid choices."""
     try:
-        return _REGISTRY[name]
+        return BACKENDS[name]
     except KeyError:
         choices = ", ".join(known_backends())
         raise ValueError(
             f"unknown backend: {name!r} (known backends: {choices})"
         ) from None
-
-
-register_backend(Backend("jit", compiled=True, prepare=compile_program))
-register_backend(Backend("emulator", compiled=False,
-                         prepare=lambda program: program))
-register_backend(Backend("vector", compiled=True, prepare=vectorize_program))

@@ -27,18 +27,16 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.fp.ieee754 import DOUBLE, SINGLE
 from repro.fp.ulp import ulp_distance_bits
-from repro.x86.checkpoint import (Checkpoint, PrefixKey, checkpoint_stride,
-                                  flags_live_in, program_writes,
-                                  union_writes)
-from repro.x86.jit import compile_program
-from repro.x86.locations import Loc, MemLoc
+from repro.x86.locations import MemLoc
 from repro.x86.program import Program
-from repro.x86.signals import SignalError
-from repro.x86.stepper import bound_steps
 from repro.x86.testcase import TestCase
 
 from repro.core.perf import LatencyPerf
 from repro.core.runner import Location, Runner
+
+# Placeholders for the two names e2ebench/phases.py::_shim_search wraps.
+compile_program = None
+bound_steps = None
 
 # Penalty used when the rewrite signals and the target does not; chosen to
 # dominate any achievable per-location error cost.
@@ -106,18 +104,6 @@ def location_ulp_distance(loc: Location, bits_a: int, bits_b: int) -> float:
     return float(bin(bits_a ^ bits_b).count("1"))
 
 
-class _IncPlan:
-    """Per-evaluation context of one incremental cost evaluation.
-
-    Built once per proposal from its edit span; holds the resume
-    boundary, the content-addressed prefix key, the fallback capture
-    bases, and backend-bound segment/suffix executors.
-    """
-
-    __slots__ = ("slots", "boundary", "prefix_key", "bases", "writes_at_b",
-                 "promise", "run_suffix", "run_segment")
-
-
 class CostFunction:
     """``c(R; T) = eq(R; T) + k * perf(R; T)`` bound to a target."""
 
@@ -127,7 +113,7 @@ class CostFunction:
         tests: Sequence[TestCase],
         live_outs: Sequence[Union[str, Location]],
         config: CostConfig = CostConfig(),
-        backend: str = "jit",
+        backend: str = "emulator",
         cache_size: int = 8192,
     ):
         if not tests:
@@ -163,15 +149,6 @@ class CostFunction:
         self._cache_max = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
-        # Incremental (checkpointed-prefix) evaluation bookkeeping.  A
-        # duplicated test object would alias one pooled state between
-        # its two slots on the incremental path, so dup test sets always
-        # take the full batch path.
-        self._has_dup_tests = len({id(t) for t in self.tests}) != \
-            len(self.tests)
-        self.incremental_hits = 0
-        self.incremental_fallbacks = 0
-        self.incremental_captures = 0
         # Adaptive-ordering stability window: identities of recently
         # promoted tests.  A promotion of a test already in this window
         # that sits within the window of the front is skipped — the
@@ -235,11 +212,10 @@ class CostFunction:
         """The shared chunk-ladder reduction over the test set.
 
         ``run_chunk(index, end)`` executes tests ``[index, end)`` and
-        returns one ``(values, signal)`` pair per test.  Both the full
-        and the incremental evaluation paths run through this one loop,
-        so their chunk schedule, ⊕-reduction, early-reject bound, and
-        promotion behaviour are identical by construction — only the way
-        a chunk is executed differs.
+        returns one ``(values, signal)`` pair per test.  It is the one
+        seam every test execution passes through, so the chunk schedule,
+        ⊕-reduction, early-reject bound and promotion behaviour are the
+        same whichever backend executes the chunks.
 
         Returns ``(eq, any_signal, completed)``.  When
         ``early_reject_above`` is given and the running lower bound on
@@ -324,222 +300,16 @@ class CostFunction:
         eq, signalled, _ = self._eq(prepared)
         return eq, signalled
 
-    # -- incremental evaluation ------------------------------------------
-
-    def _incremental_plan(self, rewrite: Program,
-                          edit_index: int) -> Optional[_IncPlan]:
-        """Resolve an edit span into an incremental evaluation plan.
-
-        Returns None (full evaluation) when any fallback condition
-        holds: the program is too short for checkpoints, the edit is at
-        index 0, the flags-liveness rule pushes the boundary to 0, or
-        the test set contains duplicated test objects.
-        """
-        if self._has_dup_tests:
-            return None
-        slots = rewrite.slots
-        n = len(slots)
-        stride = checkpoint_stride(n)
-        if stride <= 0 or edit_index <= 0:
-            return None
-        boundary = (min(edit_index, n - 1) // stride) * stride
-        if boundary <= 0:
-            return None
-        flags = flags_live_in(rewrite)
-        while boundary > 0 and flags[boundary]:
-            boundary -= stride
-        if boundary <= 0:
-            return None
-        plan = _IncPlan()
-        plan.slots = slots
-        plan.boundary = boundary
-        plan.prefix_key = PrefixKey(slots[:boundary])
-        # Warm capture bases: lower flags-safe boundaries a missing
-        # checkpoint can be built from instead of replaying the whole
-        # prefix (descending, nearest first).
-        plan.bases = tuple(b for b in range(boundary - stride, 0, -stride)
-                           if not flags[b])
-        if self.runner.backend == "jit":
-            # The rewrite is never compiled on this path.  Its suffix
-            # contains the edit, so it is a never-before-seen program on
-            # almost every proposal and a JIT compile (~400us) can never
-            # amortize — interpreting the suffix via bound steps
-            # (~1us/instruction) is an order of magnitude cheaper.  The
-            # interpreter semantics are bit-identical to the JIT's
-            # (tests/x86/test_differential.py is the load-bearing
-            # contract; tests/x86/test_stepper.py pins bound steps to
-            # it), and the flags-safe boundary guarantees the suffix
-            # never reads status flags, the one state component the
-            # interpreter touches that the pooled-state promise below
-            # does not cover (the JIT itself neither reads nor writes
-            # ``state.flags``).  Prefix segments ARE shared with the
-            # current program across proposals, so cold-checkpoint
-            # captures still run compiled code out of the global cache.
-            plan.writes_at_b = compile_program(Program(plan.prefix_key)).writes
-            plan.promise = union_writes(
-                plan.writes_at_b, program_writes(rewrite, boundary))
-            steps = bound_steps(slots[boundary:])
-
-            def run_suffix(states, _steps=steps):
-                signals = [None] * len(states)
-                for i, state in enumerate(states):
-                    try:
-                        for fn, operands in _steps:
-                            fn(state, operands)
-                    except SignalError as exc:
-                        signals[i] = exc.signal
-                return signals
-
-            plan.run_suffix = run_suffix
-            plan.run_segment = lambda state, base: compile_program(
-                Program(slots[base:boundary])).run(state).signal
-        elif self.runner._compiled:
-            # Vector (or any future compiled backend with cheap
-            # preparation): the prepared object exposes the same
-            # run_from/run_batch_from surface as the JIT, and
-            # vectorize_program is a memoized translation — no machine
-            # code is generated, so preparing the rewrite itself is
-            # fine here, unlike the JIT case above.  The flags-safe
-            # boundary keeps the resume sound: the suffix never reads
-            # flags left by the prefix, matching the backend's
-            # all-clear flag start.
-            prepared = self.runner._backend.prepare(rewrite)
-            plan.writes_at_b = program_writes(rewrite, 0, boundary)
-            plan.promise = union_writes(
-                plan.writes_at_b, program_writes(rewrite, boundary))
-            plan.run_suffix = lambda states: prepared.run_batch_from(
-                boundary, states)
-            plan.run_segment = lambda state, base: prepared.run_from(
-                base, state, boundary).signal
-        else:
-            emulator = self.runner._emulator
-            plan.writes_at_b = program_writes(rewrite, 0, boundary)
-            plan.promise = None  # full pooled restore (flags included)
-            plan.run_suffix = lambda states: emulator.run_batch_from(
-                rewrite, states, boundary)
-            plan.run_segment = lambda state, base: emulator.run_from(
-                rewrite, state, base, boundary).signal
-        return plan
-
-    def _ensure_checkpoint(self, test: TestCase, plan: _IncPlan):
-        """The test's checkpoint at the plan boundary, capturing it on
-        demand.
-
-        Returns ``(checkpoint, live_state)``: ``live_state`` is non-None
-        only when the checkpoint was captured just now, in which case it
-        is the test's pooled state still holding the post-prefix values
-        — the caller can run the suffix on it directly without a
-        restore/apply round trip.
-        """
-        cp = test.get_checkpoint(plan.prefix_key)
-        if cp is not None:
-            return cp, None
-        slots = plan.slots
-        base = 0
-        base_cp = None
-        for b in plan.bases:
-            candidate = test._checkpoints.get(slots[:b])
-            if candidate is not None:
-                base, base_cp = b, candidate
-                break
-        if base_cp is not None and base_cp.signal is not None:
-            # The prefix already faults below the warm base; propagate
-            # the sentinel without executing anything.
-            cp = Checkpoint.fault(base_cp.signal)
-            test.put_checkpoint(plan.prefix_key, cp)
-            return cp, None
-        state = test.pooled_state(plan.promise)
-        if base_cp is not None:
-            base_cp.apply(state)
-        signal = plan.run_segment(state, base)
-        self.incremental_captures += 1
-        if signal is not None:
-            cp = Checkpoint.fault(signal)
-            test.put_checkpoint(plan.prefix_key, cp)
-            return cp, None
-        cp = Checkpoint.capture(state, plan.writes_at_b)
-        test.put_checkpoint(plan.prefix_key, cp)
-        return cp, state
-
-    def _eq_incremental(self, plan: _IncPlan,
-                        early_reject_above: Optional[float] = None,
-                        perf_term: float = 0.0) -> Tuple[float, bool, bool]:
-        """The chunk ladder with checkpointed-prefix chunk execution.
-
-        Per test: fault sentinels short-circuit to the prefix's signal,
-        warm checkpoints are applied onto the pooled state and only the
-        suffix executes, cold checkpoints are captured on demand (the
-        capture run doubles as the prefix execution).
-        """
-        tests = self.tests
-        values_of = self.runner.values_of
-        run_suffix = plan.run_suffix
-        promise = plan.promise
-
-        def run_chunk(index: int, end: int):
-            chunk_tests = tests[index:end]
-            out: list = [None] * len(chunk_tests)
-            states = []
-            positions = []
-            for pos, test in enumerate(chunk_tests):
-                cp, live = self._ensure_checkpoint(test, plan)
-                if cp.signal is not None:
-                    out[pos] = (None, cp.signal)
-                    continue
-                if live is None:
-                    state = test.pooled_state(promise)
-                    cp.apply(state)
-                else:
-                    state = live
-                states.append(state)
-                positions.append(pos)
-            if states:
-                signals = run_suffix(states)
-                for state, pos, signal in zip(states, positions, signals):
-                    out[pos] = ((None, signal) if signal is not None
-                                else (values_of(state), None))
-            return out
-
-        return self._eq_loop(run_chunk, early_reject_above, perf_term)
-
-    def set_current(self, program: Program) -> None:
-        """Tell the cost function the search accepted ``program``.
-
-        Checkpoints are content-addressed, so stale entries can never
-        corrupt a result; pruning the ones whose prefix the new current
-        program does not share just keeps the store from carrying
-        unreachable state.
-        """
-        slots = program.slots
-        for test in self.tests:
-            test.prune_checkpoints(slots)
-
-    def incremental_stats(self) -> Dict[str, int]:
-        """Hit/fallback/capture counters of the incremental path."""
-        return {
-            "hits": self.incremental_hits,
-            "fallbacks": self.incremental_fallbacks,
-            "captures": self.incremental_captures,
-        }
-
     # -- full cost -------------------------------------------------------
 
     def cost(self, rewrite: Program,
-             early_reject_above: Optional[float] = None,
-             edit_index: Optional[int] = None) -> CostResult:
+             early_reject_above: Optional[float] = None) -> CostResult:
         """Evaluate ``c(R; T)``.
 
         ``early_reject_above``: if the running lower bound on the total
         cost exceeds this threshold, evaluation stops early and returns an
         upper-bound-ish result; the search only uses this for proposals
         it would reject with near certainty anyway.
-
-        ``edit_index``: the proposal's edit span (lowest changed slot
-        index) relative to the chain's current program.  When given, the
-        evaluator resumes from a checkpointed prefix state and
-        re-executes only ``[boundary, end)`` per test; results are
-        bit-identical to full evaluation, so this is purely a fast path
-        (with the fallbacks listed in :meth:`_incremental_plan`).
         """
         cached = self._cache.get(rewrite)
         if cached is not None:
@@ -549,22 +319,10 @@ class CostFunction:
         self.cache_misses += 1
         cfg = self.config
         perf = self.perf(rewrite) if cfg.k != 0.0 else 0.0
-        plan = None
-        if edit_index is not None:
-            plan = self._incremental_plan(rewrite, edit_index)
-            if plan is None:
-                self.incremental_fallbacks += 1
-            else:
-                self.incremental_hits += 1
-        if plan is not None:
-            eq, signalled, completed = self._eq_incremental(
-                plan, early_reject_above=early_reject_above,
-                perf_term=cfg.k * perf)
-        else:
-            prepared = self.runner.prepare(rewrite)
-            eq, signalled, completed = self._eq(
-                prepared, early_reject_above=early_reject_above,
-                perf_term=cfg.k * perf)
+        prepared = self.runner.prepare(rewrite)
+        eq, signalled, completed = self._eq(
+            prepared, early_reject_above=early_reject_above,
+            perf_term=cfg.k * perf)
         total = eq + cfg.k * perf
         result = CostResult(total=total, eq=eq, perf=perf, signalled=signalled)
         if completed:

@@ -60,7 +60,7 @@ class StokeSpec:
     tests: Tuple[TestCase, ...]
     live_outs: Tuple[Union[str, Location], ...]
     cost_config: CostConfig = CostConfig()
-    backend: str = "jit"
+    backend: str = "emulator"
     transforms: Optional[Transforms] = None
 
     @classmethod

@@ -19,12 +19,10 @@ class SearchStats:
     moves_proposed: dict = field(default_factory=dict)
     moves_accepted: dict = field(default_factory=dict)
     # JIT compile-cache hit/miss/eviction deltas attributable to this
-    # chain (empty when the search ran on the emulator backend).
+    # chain (zero deltas when the search ran on the emulator backend).
     jit_cache: dict = field(default_factory=dict)
-    # Incremental-evaluator telemetry: proposals that took the
-    # checkpointed-suffix path (hits), proposals with an edit hint that
-    # fell back to full evaluation (fallbacks), on-demand checkpoint
-    # captures, and the global checkpoint store's byte occupancy.
+    # Always empty: the search has no incremental evaluator.  The field
+    # keeps the serialized result shape that e2ebench/ reads.
     incremental: dict = field(default_factory=dict)
     # DCE memoization hit/miss deltas (Stoke._dce).
     dce_cache: dict = field(default_factory=dict)

@@ -234,22 +234,11 @@ class Runner:
             return (read_one(state),)
         return tuple(read(state) for read in self._readers)
 
-    def execute_from(self, prepared, state, start: int,
-                     stop: Optional[int] = None) -> Optional[Signal]:
-        """Run ``[start, stop)`` of a prepared program on an explicit
-        state; returns the signal (None = clean).  The incremental
-        evaluator uses this for checkpoint capture segments and
-        single-test suffix runs."""
-        if self._compiled:
-            outcome = prepared.run_from(start, state, stop)
-        else:
-            outcome = self._emulator.run_from(prepared, state, start, stop)
-        return outcome.signal
-
     def execute_batch_from(self, prepared, states, start: int
                            ) -> List[Optional[Signal]]:
-        """Batched :meth:`execute_from` over explicit states (each must
-        already hold its test's checkpoint at ``start``)."""
+        """Run slots ``[start, end)`` of a prepared program on explicit
+        states (each must already hold the effects of ``[0, start)``);
+        returns per-state signals (None = clean)."""
         if self._compiled:
             return prepared.run_batch_from(start, states)
         return self._emulator.run_batch_from(prepared, states, start)

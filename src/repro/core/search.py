@@ -15,7 +15,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from repro.x86.checkpoint import checkpoint_store_stats
 from repro.x86.instruction import UNUSED
 from repro.x86.jit import compile_cache_stats
 from repro.x86.liveness import dead_code_eliminate
@@ -43,10 +42,6 @@ class SearchConfig:
     extra_slots: int = 0  # UNUSED padding appended to the target
     trace_points: int = 64
     early_reject: bool = True
-    # Checkpointed-prefix incremental evaluation (bit-identical fast
-    # path; disabled automatically for 'empty' init, where prefixes are
-    # mostly UNUSED and checkpoints save nothing).
-    incremental: bool = True
 
 
 @dataclass
@@ -156,12 +151,17 @@ class Stoke:
         live_outs: Sequence[Union[str, Location]],
         cost_config: CostConfig = CostConfig(),
         transforms: Optional[Transforms] = None,
-        backend: str = "jit",
+        backend: str = "emulator",
         slow_check=None,
     ):
         """``slow_check`` is the second tier of Equation 5: a callable
         ``Program -> bool`` run on candidate best rewrites after they pass
-        the fast test-case check (see :mod:`repro.core.slowcheck`)."""
+        the fast test-case check (see :mod:`repro.core.slowcheck`).
+
+        Every proposal is a program never seen before that runs on a
+        handful of tests, so translating it to a compiled backend never
+        pays off: search interprets each proposal in full on the
+        emulator.  ``backend`` exists for differential tests."""
         self.target = target
         self.cost_fn = CostFunction(target, tests, live_outs,
                                     config=cost_config, backend=backend)
@@ -237,15 +237,13 @@ class Stoke:
 
     def _step(self, rng, strategy, beta: float, config: SearchConfig,
               stats: SearchStats, iteration: int, current: Program,
-              current_cost, use_incremental: bool):
+              current_cost):
         """One propose -> evaluate -> accept step of the chain.
 
-        The proposal's edit span flows into the cost function here: an
-        accepted move also re-anchors the checkpoint store on the new
-        current program.  Returns ``(current, current_cost, proposal,
-        result)`` with ``proposal``/``result`` None for invalid moves.
+        Returns ``(current, current_cost, proposal, result)`` with
+        ``proposal``/``result`` None for invalid moves.
         """
-        proposal, move, edit = self.transforms.propose(rng, current)
+        proposal, move = self.transforms.propose(rng, current)
         stats.moves_proposed[move] = stats.moves_proposed.get(move, 0) + 1
         if proposal is None:
             stats.invalid_proposals += 1
@@ -253,15 +251,11 @@ class Stoke:
         threshold = None
         if config.early_reject and isinstance(strategy, McmcStrategy):
             threshold = rejection_threshold(current_cost.total, beta)
-        result = self.cost_fn.cost(
-            proposal, early_reject_above=threshold,
-            edit_index=edit if use_incremental else None)
+        result = self.cost_fn.cost(proposal, early_reject_above=threshold)
         if strategy.accept(rng, current_cost.total, result.total,
                            iteration, config.proposals):
             stats.accepted += 1
             stats.moves_accepted[move] = stats.moves_accepted.get(move, 0) + 1
-            if use_incremental:
-                self.cost_fn.set_current(proposal)
             current, current_cost = proposal, result
         return current, current_cost, proposal, result
 
@@ -285,12 +279,9 @@ class Stoke:
         stats = SearchStats()
         beta = getattr(strategy, "beta", 1.0)
         jit_cache_before = compile_cache_stats()
-        inc_before = self.cost_fn.incremental_stats()
-        store_before = checkpoint_store_stats()
         dce_before = (self._dce_hits, self._dce_misses)
         ordering_before = (self.cost_fn.promote_moves,
                            self.cost_fn.promote_skips)
-        use_incremental = config.incremental and config.init != "empty"
 
         elapsed_base = 0.0
         if resume is not None:
@@ -336,7 +327,7 @@ class Stoke:
             stats.proposals += 1
             current, current_cost, proposal, result = self._step(
                 rng, strategy, beta, config, stats, iteration,
-                current, current_cost, use_incremental)
+                current, current_cost)
             if result is not None:
                 if result.correct:
                     best_correct, best_correct_latency = \
@@ -378,15 +369,6 @@ class Stoke:
             for key in ("hits", "misses", "evictions")
         }
         stats.jit_cache["size"] = jit_cache_after["size"]
-        inc_after = self.cost_fn.incremental_stats()
-        store_after = checkpoint_store_stats()
-        stats.incremental = {
-            key: inc_after[key] - inc_before[key] for key in inc_after
-        }
-        stats.incremental["checkpoint_bytes"] = store_after["bytes"]
-        stats.incremental["checkpoint_entries"] = store_after["entries"]
-        stats.incremental["store_evictions"] = (
-            store_after["evictions"] - store_before["evictions"])
         stats.dce_cache = {
             "hits": self._dce_hits - dce_before[0],
             "misses": self._dce_misses - dce_before[1],

@@ -140,15 +140,9 @@ class Transforms:
         self.move_kinds = kinds
 
     # -- individual moves -------------------------------------------------
-    #
-    # Every move returns ``(proposal, edit_span)`` (or None): the edit
-    # span is the lowest program index whose instruction changed, which
-    # the incremental evaluator uses to resume from a prefix checkpoint
-    # instead of re-executing the whole candidate.  Swaps report the
-    # lower of their two indices.
 
     def propose_opcode(self, rng: random.Random, program: Program
-                       ) -> Optional[Tuple[Program, int]]:
+                       ) -> Optional[Program]:
         """Replace one instruction's opcode, keeping its operands."""
         slots = [i for i, ins in enumerate(program.slots) if not ins.is_unused]
         if not slots:
@@ -161,10 +155,10 @@ class Transforms:
         if not compatible:
             return None
         return program.with_slot(
-            index, Instruction(rng.choice(compatible), instr.operands)), index
+            index, Instruction(rng.choice(compatible), instr.operands))
 
     def propose_operand(self, rng: random.Random, program: Program
-                        ) -> Optional[Tuple[Program, int]]:
+                        ) -> Optional[Program]:
         """Replace one operand of one instruction."""
         slots = [i for i, ins in enumerate(program.slots)
                  if not ins.is_unused and ins.operands]
@@ -182,11 +176,11 @@ class Transforms:
                              for i, old in enumerate(instr.operands))
             if spec.accepts(operands):
                 return program.with_slot(index, Instruction(instr.opcode,
-                                                            operands)), index
+                                                            operands))
         return None
 
     def propose_swap(self, rng: random.Random, program: Program
-                     ) -> Optional[Tuple[Program, int]]:
+                     ) -> Optional[Program]:
         """Interchange two lines of code."""
         n = len(program.slots)
         if n < 2:
@@ -195,7 +189,7 @@ class Transforms:
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        return program.with_swap(i, j), min(i, j)
+        return program.with_swap(i, j)
 
     def random_instruction(self, rng: random.Random) -> Optional[Instruction]:
         """A uniformly random valid instruction from the pools."""
@@ -233,30 +227,26 @@ class Transforms:
         return lo + (1.0 - 2.0 * lo) * (used / n)
 
     def propose_instruction(self, rng: random.Random, program: Program
-                            ) -> Optional[Tuple[Program, int]]:
+                            ) -> Optional[Program]:
         """Replace a slot with UNUSED or with a random instruction."""
         if not program.slots:
             return None
         index = rng.randrange(len(program.slots))
         if rng.random() < self.delete_probability(program):
-            return program.with_slot(index, UNUSED), index
+            return program.with_slot(index, UNUSED)
         instr = self.random_instruction(rng)
         if instr is None:
             return None
-        return program.with_slot(index, instr), index
+        return program.with_slot(index, instr)
 
     # -- combined proposal -------------------------------------------------
 
     def propose(self, rng: random.Random, program: Program
-                ) -> Tuple[Optional[Program], str, Optional[int]]:
+                ) -> Tuple[Optional[Program], str]:
         """One move drawn uniformly from the enabled move kinds.
 
-        Returns ``(proposal, kind, edit_span)``; the span is the lowest
-        changed slot index (None for invalid proposals).
+        Returns ``(proposal, kind)``; the proposal is None when the move
+        found nothing valid to do.
         """
         kind = rng.choice(self.move_kinds)
-        proposed = getattr(self, f"propose_{kind}")(rng, program)
-        if proposed is None:
-            return None, kind, None
-        proposal, span = proposed
-        return proposal, kind, span
+        return getattr(self, f"propose_{kind}")(rng, program), kind

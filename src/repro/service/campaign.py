@@ -46,7 +46,6 @@ class CampaignSpec:
     testcases: int = 16
     seed: int = 0
     k: float = 1.0
-    backend: str = "jit"
     stages: Tuple[str, ...] = DEFAULT_STAGES
     validate_proposals: int = 2_000
     verify_budget: int = 128
@@ -81,7 +80,6 @@ class CampaignSpec:
             "testcases": self.testcases,
             "seed": self.seed,
             "k": self.k,
-            "backend": self.backend,
             "stages": list(self.stages),
             "validate_proposals": self.validate_proposals,
             "verify_budget": self.verify_budget,
@@ -104,7 +102,6 @@ class CampaignSpec:
             testcases=int(data["testcases"]),
             seed=int(data["seed"]),
             k=float(data["k"]),
-            backend=data["backend"],
             stages=tuple(data["stages"]),
             validate_proposals=int(data["validate_proposals"]),
             verify_budget=int(data["verify_budget"]),
@@ -130,8 +127,7 @@ def plan_campaign(spec: CampaignSpec) -> List[J.JobSpec]:
                 J.search_payload(name, eta, seed=spec.seed + 1 + i,
                                  proposals=spec.proposals,
                                  testcases=spec.testcases,
-                                 tests_seed=spec.seed, k=spec.k,
-                                 backend=spec.backend),
+                                 tests_seed=spec.seed, k=spec.k),
                 role=f"{cell}/search[{i}]")
             plan.append(job)
             search_digests.append(job.digest)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.backends import resolve_backend
 from repro.core.serialize import content_digest
 
 JOB_KINDS = ("search", "select", "validate", "verify", "catalog")
@@ -89,12 +88,7 @@ def verify_environment(name: str):
 
 
 def search_payload(kernel: str, eta: float, seed: int, proposals: int,
-                   testcases: int, tests_seed: int, k: float = 1.0,
-                   backend: str = "jit") -> Dict:
-    # Validate here, at enqueue time: a typo'd backend should fail the
-    # submission with the registry's known-backends error, not surface
-    # as a retried worker crash hours later.
-    resolve_backend(backend)
+                   testcases: int, tests_seed: int, k: float = 1.0) -> Dict:
     return {
         "kernel": kernel,
         "eta": float(eta),
@@ -103,7 +97,6 @@ def search_payload(kernel: str, eta: float, seed: int, proposals: int,
         "testcases": int(testcases),
         "tests_seed": int(tests_seed),
         "k": float(k),
-        "backend": backend,
     }
 
 

@@ -94,8 +94,7 @@ def _run_search(context: Dict, digest: str, payload: Dict,
     tests = spec.testcases(random.Random(payload["tests_seed"]),
                            payload["testcases"])
     stoke = Stoke(spec.program, tests, spec.live_outs,
-                  CostConfig(eta=payload["eta"], k=payload["k"]),
-                  backend=payload["backend"])
+                  CostConfig(eta=payload["eta"], k=payload["k"]))
     config = SearchConfig(proposals=payload["proposals"],
                           seed=payload["seed"])
     resume = _load_checkpoint(context, digest, "search",

@@ -44,10 +44,9 @@ class Instruction:
 
     @property
     def spec(self) -> OpcodeSpec:
-        # Resolved once per instruction: the incremental evaluator walks
-        # slot tuples on every proposal (flags liveness, write sets,
-        # suffix interpretation) and the registry lookup was a measurable
-        # share of each walk.
+        # Resolved once per instruction: the emulator looks the spec up
+        # for every slot of every proposal on every test, and the
+        # registry lookup was a measurable share of each run.
         try:
             return self._spec
         except AttributeError:

@@ -454,7 +454,7 @@ class CompiledProgram:
     """A program compiled to a reusable Python function."""
 
     __slots__ = ("program", "source", "writes", "_fn", "_batch_fn",
-                 "_batch_calls", "_stride")
+                 "_batch_calls")
 
     def __init__(self, program: Program):
         self.program = program
@@ -466,7 +466,6 @@ class CompiledProgram:
         self._fn = env["__kernel"]
         self._batch_fn = None
         self._batch_calls = 0
-        self._stride = None
 
     def run(self, state: MachineState) -> Outcome:
         """Execute on a machine state in place.
@@ -528,56 +527,15 @@ class CompiledProgram:
         fn([(s.gp, s.xmm_lo, s.xmm_hi, s.mem) for s in states], signals)
         return signals
 
-    # ------------------------------------------------------------------
-    # suffix entry points (incremental evaluation)
-
-    @property
-    def stride(self) -> int:
-        """Checkpoint spacing for this program (0 = no checkpointing)."""
-        if self._stride is None:
-            from repro.x86.checkpoint import checkpoint_stride
-
-            self._stride = checkpoint_stride(len(self.program.slots))
-        return self._stride
-
-    def resume_boundary(self, edit_index: int) -> int:
-        """The checkpoint boundary to resume from after an edit at
-        ``edit_index`` (0 = evaluate from scratch).  Boundaries step down
-        past any point where the suffix would need prefix flag values."""
-        from repro.x86.checkpoint import resume_boundary
-
-        return resume_boundary(self.program, edit_index, self.stride)
-
-    def segment(self, start: int, stop: Optional[int] = None
-                ) -> "CompiledProgram":
-        """The compiled ``[start, stop)`` slice of this program.
-
-        Segments go through :func:`compile_program`, so a suffix shared
-        by many proposals (or a prefix shared across checkpoint capture
-        runs) compiles once and tiers up like any hot program.
-        """
-        slots = self.program.slots
-        stop = len(slots) if stop is None else stop
-        return compile_program(Program(slots[start:stop]))
-
-    def run_from(self, start: int, state: MachineState,
-                 stop: Optional[int] = None) -> Outcome:
-        """Execute only ``[start, stop)`` on a state already holding the
-        prefix's effects (a restored checkpoint).  ``run_from(0, s)`` is
-        exactly ``run(s)``."""
-        if start <= 0 and stop is None:
-            return self.run(state)
-        return self.segment(start, stop).run(state)
-
-    def run_batch_from(self, start: int, states: "Sequence[MachineState]",
-                       stop: Optional[int] = None) -> List[object]:
-        """Batched :meth:`run_from`: one call over states that each hold
-        their test's checkpoint at ``start``.  Per-state signal capture
-        and tiered specialization come from the suffix's own
-        :meth:`run_batch`."""
-        if start <= 0 and stop is None:
+    def run_batch_from(self, start: int,
+                       states: "Sequence[MachineState]") -> List[object]:
+        """Batched execution of slots ``[start, end)`` only, on states
+        that already hold the effects of ``[0, start)``.
+        ``run_batch_from(0, states)`` is exactly :meth:`run_batch`."""
+        if start <= 0:
             return self.run_batch(states)
-        return self.segment(start, stop).run_batch(states)
+        return compile_program(
+            Program(self.program.slots[start:])).run_batch(states)
 
 
 # Bounded LRU over immutable program values.  Like CostFunction._cache,

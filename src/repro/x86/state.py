@@ -77,41 +77,6 @@ class MachineState:
         if mem:
             self.mem.restore_writable(mem_snapshot)
 
-    def snapshot_slots(self, gp_indices, xl_indices, xh_indices,
-                       mem: bool) -> tuple:
-        """Capture only the named slots (checkpoint capture fast path).
-
-        The counterpart of :meth:`restore_slots`: where that resets a
-        known write set back to a full snapshot, this records just a
-        write set's current values so they can be re-applied later with
-        :meth:`apply_slots`.  Flags are deliberately excluded — the JIT
-        keeps them in locals, and resume boundaries are chosen so no
-        suffix ever needs flags from its prefix.
-        """
-        gp = self.gp
-        lo = self.xmm_lo
-        hi = self.xmm_hi
-        return (tuple(gp[i] for i in gp_indices),
-                tuple(lo[i] for i in xl_indices),
-                tuple(hi[i] for i in xh_indices),
-                self.mem.snapshot_writable() if mem else None)
-
-    def apply_slots(self, data: tuple, gp_indices, xl_indices,
-                    xh_indices) -> None:
-        """Write a :meth:`snapshot_slots` capture back into this state."""
-        gp_vals, lo_vals, hi_vals, mem_snapshot = data
-        gp = self.gp
-        for index, value in zip(gp_indices, gp_vals):
-            gp[index] = value
-        lo = self.xmm_lo
-        for index, value in zip(xl_indices, lo_vals):
-            lo[index] = value
-        hi = self.xmm_hi
-        for index, value in zip(xh_indices, hi_vals):
-            hi[index] = value
-        if mem_snapshot is not None:
-            self.mem.restore_writable(mem_snapshot)
-
     # ------------------------------------------------------------------
     # operand helpers used by the emulator backend
 

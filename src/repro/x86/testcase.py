@@ -29,7 +29,7 @@ class TestCase:
 
     __test__ = False  # not a pytest test class, despite the name
     __slots__ = ("inputs", "segments", "_template", "_pooled", "_snapshot",
-                 "_dirt", "_checkpoints")
+                 "_dirt")
 
     def __init__(self, inputs: Dict[LocLike, int],
                  segments: Sequence[Segment] = ()):
@@ -43,11 +43,6 @@ class TestCase:
         # restore needed), or a (gp, xmm_lo, xmm_hi, mem) write set
         # promised via pooled_state(writes).
         self._dirt = None
-        # Prefix checkpoints for incremental suffix evaluation, keyed by
-        # the exact instruction tuple of the prefix they were captured
-        # after (content-addressed: valid for any program sharing that
-        # prefix).  Memory-bounded via the global checkpoint.STORE LRU.
-        self._checkpoints: Dict[tuple, object] = {}
 
     @classmethod
     def from_values(cls, values: Dict[LocLike, float],
@@ -130,40 +125,6 @@ class TestCase:
         self._dirt = writes if writes is not None else "all"
         return pooled
 
-    # ------------------------------------------------------------------
-    # prefix checkpoints (incremental suffix evaluation)
-
-    def get_checkpoint(self, prefix: tuple):
-        """The checkpoint captured after executing ``prefix`` on this
-        test, or None.  Counts a global-store hit/miss either way."""
-        from repro.x86 import checkpoint as _cp
-
-        entry = self._checkpoints.get(prefix)
-        if entry is None:
-            _cp.STORE.stats["misses"] += 1
-            return None
-        _cp.STORE.stats["hits"] += 1
-        _cp.STORE.touch(self, prefix)
-        return entry
-
-    def put_checkpoint(self, prefix: tuple, entry) -> None:
-        """Register a captured checkpoint (may LRU-evict older ones)."""
-        from repro.x86 import checkpoint as _cp
-
-        self._checkpoints[prefix] = entry
-        _cp.STORE.add(self, prefix, entry.nbytes)
-
-    def prune_checkpoints(self, slots: tuple) -> None:
-        """Drop checkpoints whose prefix the current program no longer
-        shares (called when the search accepts a new program)."""
-        from repro.x86 import checkpoint as _cp
-
-        stale = [prefix for prefix in self._checkpoints
-                 if slots[:len(prefix)] != prefix]
-        for prefix in stale:
-            entry = self._checkpoints.pop(prefix)
-            _cp.STORE.remove(self, prefix, entry.nbytes)
-
     def value_of(self, loc: LocLike) -> int:
         return self.inputs[_as_loc(loc)]
 
@@ -186,7 +147,6 @@ class TestCase:
         tc._pooled = None
         tc._snapshot = None
         tc._dirt = None
-        tc._checkpoints = {}
         return tc
 
     def __repr__(self) -> str:

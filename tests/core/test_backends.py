@@ -1,4 +1,4 @@
-"""The backend registry: one source of truth for backend names."""
+"""The backend table: one source of truth for backend names."""
 
 import pytest
 
@@ -31,11 +31,9 @@ def test_runner_rejects_unknown_backend_with_choices():
         Runner(["xmm0"], backend="vectr")
 
 
-def test_search_payload_validates_backend_at_enqueue_time():
-    # A typo'd backend must fail submission, not a worker hours later.
-    with pytest.raises(ValueError, match="known backends"):
-        search_payload("sin", eta=0.0, seed=0, proposals=10,
-                       testcases=4, tests_seed=0, backend="vectorr")
+def test_search_payload_names_no_backend():
+    # Search always runs on the emulator, so the backend is not part of
+    # a search job's identity.
     payload = search_payload("sin", eta=0.0, seed=0, proposals=10,
-                             testcases=4, tests_seed=0, backend="vector")
-    assert payload["backend"] == "vector"
+                             testcases=4, tests_seed=0)
+    assert "backend" not in payload

@@ -109,6 +109,22 @@ def test_same_batch_twice_is_identical(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_execute_batch_from_zero_is_run_batch(backend):
+    # The validator's block path runs both programs through
+    # execute_batch_from(..., 0) on explicit states.
+    spec = LIBIMF_KERNELS["exp"]()
+    tests = spec.testcases(random.Random(5), 6)
+    runner = Runner(spec.live_outs, backend=backend)
+    prepared = runner.prepare(spec.program)
+    states = [tc.build_state() for tc in tests]
+    signals = runner.execute_batch_from(prepared, states, 0)
+    assert [(None, sig) if sig is not None
+            else (runner.values_of(state), None)
+            for state, sig in zip(states, signals)] == \
+        runner.run_batch(prepared, tests)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_duplicate_test_object_in_batch(backend):
     # The same TestCase object twice in one batch cannot share a pooled
     # state; both slots must produce that test's own output.

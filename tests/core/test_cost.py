@@ -6,11 +6,36 @@ import random
 import pytest
 
 from repro.fp.ieee754 import double_to_bits
+from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.x86.assembler import assemble
+from repro.x86.checkpoint import program_writes, union_writes
 from repro.x86.locations import MemLoc, parse_loc
 from repro.x86.testcase import TestCase, uniform_testcases
 
 from repro.core.cost import CostConfig, CostFunction, location_ulp_distance
+from repro.core.transforms import Transforms
+
+from tests.conftest import base_testcase
+
+BACKENDS = ("emulator", "jit", "vector")
+
+# Register arithmetic, a flags-producing compare + conditional move, and
+# a store/load through the scratch segment: every state component the
+# pooled-state reset has to cover.
+KERNEL = assemble("""
+    movq $2.0d, xmm1
+    mulsd xmm1, xmm0
+    movsd xmm0, 8(rbx)
+    ucomisd xmm1, xmm0
+    cmovae rax, rcx
+    addsd 8(rbx), xmm0
+    movapd xmm0, xmm2
+    mulsd xmm2, xmm2
+    movq $0.5d, xmm3
+    mulsd xmm3, xmm2
+    subsd xmm1, xmm2
+    addsd xmm2, xmm0
+""", total_slots=16)
 
 
 def make_cost(target_asm, eta=0.0, k=1.0, **kwargs):
@@ -86,7 +111,7 @@ class TestEquivalenceTerm:
             cost.err_fast(wrong_outputs, expected, signalled=False)
         message = str(exc.value)
         assert "xmm0" in message
-        assert "jit" in message
+        assert repr(cost.runner.backend) in message
         assert "live-outs" in message
 
 
@@ -239,3 +264,94 @@ class TestLruCache:
         # Only the three most recent distinct programs remain.
         assert [p in cost._cache for p in programs] == \
             [False, False, True, True, True]
+
+
+class TestWriteSets:
+    def test_union_writes(self):
+        a = ((1,), (0, 2), (0,), False)
+        b = ((1, 3), (2,), (2,), True)
+        assert union_writes(a, b) == ((1, 3), (0, 2), (0, 2), True)
+
+    def test_program_writes_covers_kernel_defs(self):
+        gp, xl, xh, mem = program_writes(KERNEL)
+        assert mem  # the movsd store
+        assert 1 in gp  # cmovae writes rcx
+        assert {0, 1, 2, 3}.issubset(set(xl))
+        assert xl == xh  # conservative: XMM defs count both halves
+
+
+class TestAdaptiveOrderingStability:
+    def test_promote_skip_window(self):
+        tests = [base_testcase(5 + i) for i in range(8)]
+        cf = CostFunction(KERNEL, tests, ["xmm0"], CostConfig())
+        # Index 0 is always a skip (already at the front).
+        cf._promote(0)
+        assert cf.promote_skips == 1 and cf.promote_moves == 0
+        # A fresh index is a real move...
+        victim = id(cf.tests[5])
+        cf._promote(5)
+        assert cf.promote_moves == 1
+        assert id(cf.tests[0]) == victim
+        # ...but re-promoting it from inside the stability window is
+        # skipped: the ladder's order is effectively unchanged.
+        for seq in (cf.tests, cf.target_outputs, cf._expected):
+            seq.insert(1, seq.pop(0))
+        cf._promote(1)
+        assert cf.promote_skips == 2 and cf.promote_moves == 1
+        # Beyond the window the same test is moved again.
+        far = cf._PROMOTE_WINDOW + 2
+        for seq in (cf.tests, cf.target_outputs, cf._expected):
+            seq.insert(far, seq.pop(1))
+        cf._promote(far)
+        assert cf.promote_moves == 2
+        assert id(cf.tests[0]) == victim
+
+
+class TestBackendSeam:
+    """``backend=`` is kept only so the compiled backends can be checked
+    against the emulator that search runs on: every backend must give
+    the same CostResult for every proposal."""
+
+    def test_default_backend_is_emulator(self):
+        cost = make_cost("addsd xmm0, xmm0")
+        assert cost.runner.backend == "emulator"
+
+    @pytest.mark.parametrize("name", sorted(LIBIMF_KERNELS))
+    def test_backends_agree_along_a_proposal_stream(self, name):
+        spec = LIBIMF_KERNELS[name]()
+        tests = spec.testcases(random.Random(f"seam:{name}"), 16)
+        config = CostConfig(eta=1e6)
+        costs = [CostFunction(spec.program, tests, spec.live_outs, config,
+                              backend=backend) for backend in BACKENDS]
+        transforms = Transforms(spec.program)
+        rng = random.Random(7)
+        current = spec.program
+        for step in range(60):
+            proposal, _kind = transforms.propose(rng, current)
+            if proposal is None:
+                continue
+            # Alternate full and early-rejected evaluations so both the
+            # complete ladder and its truncation are compared.
+            threshold = None if step % 2 else 2.0
+            results = [cost.cost(proposal, early_reject_above=threshold)
+                       for cost in costs]
+            assert results[1] == results[0], (name, step, "jit")
+            assert results[2] == results[0], (name, step, "vector")
+            if step % 3 == 0:
+                current = proposal
+
+    def test_early_reject_agrees_across_backends(self):
+        tests = [base_testcase(13 + i) for i in range(10)]
+        costs = [CostFunction(KERNEL, tests, ["xmm0"], CostConfig(),
+                              backend=backend) for backend in BACKENDS]
+        threshold = costs[0].cost(KERNEL).total + 1.0
+        transforms = Transforms(KERNEL)
+        rng = random.Random(13)
+        for _step in range(80):
+            proposal, _kind = transforms.propose(rng, KERNEL)
+            if proposal is None:
+                continue
+            results = [cost.cost(proposal, early_reject_above=threshold)
+                       for cost in costs]
+            assert results[1] == results[0]
+            assert results[2] == results[0]

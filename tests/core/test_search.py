@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.x86.assembler import assemble
+from repro.x86.jit import compile_cache_stats
 from repro.x86.testcase import uniform_testcases
 
 from repro.core.cost import CostConfig
@@ -23,6 +24,8 @@ from repro.core.strategies import (
     RandomStrategy,
     make_strategy,
 )
+
+from tests.conftest import random_program
 
 
 class TestMetropolis:
@@ -168,3 +171,59 @@ class TestSearch:
         stoke = self.make_stoke(tiny_target)
         with pytest.raises(ValueError):
             stoke.search(SearchConfig(proposals=1, init="garbage"))
+
+
+class TestEvaluator:
+    """Search interprets every proposal in full on the emulator."""
+
+    def test_default_search_does_no_jit_compiles(self, tiny_target):
+        tests = uniform_testcases(random.Random(0), 16,
+                                  {"xmm0": (-50.0, 50.0)})
+        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig(eta=1e6))
+        assert stoke.cost_fn.runner.backend == "emulator"
+        before = compile_cache_stats()["misses"]
+        result = stoke.optimize(SearchConfig(proposals=400, seed=2))
+        assert compile_cache_stats()["misses"] - before == 0
+        assert result.stats.jit_cache["misses"] == 0
+        assert result.stats.incremental == {}
+
+    @pytest.mark.parametrize("backend", ("jit", "vector"))
+    def test_backends_give_identical_searches(self, tiny_target, backend):
+        tests = uniform_testcases(random.Random(0), 12,
+                                  {"xmm0": (-4.0, 4.0)})
+        config = SearchConfig(proposals=500, seed=21, extra_slots=4)
+        results = [Stoke(tiny_target, tests, ["xmm0"],
+                         CostConfig(eta=1e12), backend=name).optimize(config)
+                   for name in ("emulator", backend)]
+        default, other = results
+        assert other.best_cost == default.best_cost
+        assert other.trace == default.trace
+        assert other.stats.accepted == default.stats.accepted
+        assert other.stats.moves_accepted == default.stats.moves_accepted
+        assert other.best_correct == default.best_correct
+
+    def test_telemetry_sections(self, tiny_target):
+        tests = uniform_testcases(random.Random(0), 6, {"xmm0": (-4.0, 4.0)})
+        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig(eta=1e12))
+        tele = stoke.optimize(SearchConfig(proposals=300, seed=1)).telemetry
+        assert tele["incremental"] == {}
+        assert set(tele["dce_cache"]) == {"hits", "misses"}
+        assert set(tele["test_ordering"]) == {"moves", "skips"}
+
+
+class TestDceMemoization:
+    def test_dce_cache_counts_hits(self, tiny_target):
+        tests = uniform_testcases(random.Random(0), 8, {"xmm0": (-4.0, 4.0)})
+        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig())
+        cleaned = stoke._dce(tiny_target)
+        assert stoke._dce_misses == 1 and stoke._dce_hits == 0
+        assert stoke._dce(tiny_target) is cleaned
+        assert stoke._dce_hits == 1
+
+    def test_dce_cache_is_bounded(self, tiny_target):
+        tests = uniform_testcases(random.Random(0), 8, {"xmm0": (-4.0, 4.0)})
+        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig())
+        stoke.DCE_CACHE_CAP = 4
+        for seed in range(10):
+            stoke._dce(random_program(seed, 5))
+        assert len(stoke._dce_cache) <= 4

@@ -56,88 +56,59 @@ class TestMoves:
 
     def test_opcode_move_keeps_operands(self):
         for _ in range(30):
-            proposed = self.transforms.propose_opcode(self.rng, TARGET)
-            if proposed is None:
+            proposal = self.transforms.propose_opcode(self.rng, TARGET)
+            if proposal is None:
                 continue
-            proposal, span = proposed
-            changed = [(i, a, b) for i, (a, b) in
-                       enumerate(zip(TARGET.slots, proposal.slots)) if a != b]
+            changed = [(a, b) for a, b in
+                       zip(TARGET.slots, proposal.slots) if a != b]
             assert len(changed) == 1
-            index, old, new = changed[0]
-            assert span == index
+            old, new = changed[0]
             assert old.operands == new.operands
             assert old.opcode != new.opcode
 
     def test_operand_move_keeps_opcode(self):
         for _ in range(30):
-            proposed = self.transforms.propose_operand(self.rng, TARGET)
-            if proposed is None:
+            proposal = self.transforms.propose_operand(self.rng, TARGET)
+            if proposal is None:
                 continue
-            proposal, span = proposed
-            changed = [(i, a, b) for i, (a, b) in
-                       enumerate(zip(TARGET.slots, proposal.slots)) if a != b]
+            changed = [(a, b) for a, b in
+                       zip(TARGET.slots, proposal.slots) if a != b]
             assert len(changed) <= 1
             if changed:
-                assert span == changed[0][0]
-                assert changed[0][1].opcode == changed[0][2].opcode
+                assert changed[0][0].opcode == changed[0][1].opcode
 
     def test_swap_is_permutation(self):
-        proposal, span = self.transforms.propose_swap(self.rng, TARGET)
+        proposal = self.transforms.propose_swap(self.rng, TARGET)
         assert sorted(map(str, proposal.slots)) == \
             sorted(map(str, TARGET.slots))
-        changed = [i for i, (a, b) in
-                   enumerate(zip(TARGET.slots, proposal.slots)) if a != b]
-        if changed:
-            # The edit span is the *lowest* changed slot: everything
-            # before it is byte-identical to the pre-swap program.
-            assert span == min(changed)
 
     def test_instruction_move_can_insert_into_unused(self):
         empty = TARGET.with_slot(0, UNUSED)
         inserted = 0
         for _ in range(100):
-            proposed = self.transforms.propose_instruction(self.rng, empty)
-            if proposed is not None and proposed[0].loc > empty.loc:
+            proposal = self.transforms.propose_instruction(self.rng, empty)
+            if proposal is not None and proposal.loc > empty.loc:
                 inserted += 1
         assert inserted > 0
 
     def test_instruction_move_can_delete(self):
         deleted = 0
         for _ in range(100):
-            proposed = self.transforms.propose_instruction(self.rng, TARGET)
-            if proposed is not None and proposed[0].loc < TARGET.loc:
+            proposal = self.transforms.propose_instruction(self.rng, TARGET)
+            if proposal is not None and proposal.loc < TARGET.loc:
                 deleted += 1
         assert deleted > 0
 
     def test_all_proposals_are_valid_programs(self):
         program = TARGET
         for _ in range(300):
-            proposal, kind, span = self.transforms.propose(self.rng, program)
+            proposal, kind = self.transforms.propose(self.rng, program)
             assert kind in MOVE_KINDS
             if proposal is None:
-                assert span is None
                 continue
             for instr in proposal.slots:
                 assert OPCODES[instr.opcode].accepts(instr.operands)
             program = proposal  # walk
-
-    def test_edit_span_covers_all_changes(self):
-        """Every changed slot sits at or after the reported edit span, so
-        the prefix ``slots[:span]`` is always reusable by the incremental
-        evaluator."""
-        program = TARGET
-        for _ in range(300):
-            proposal, _, span = self.transforms.propose(self.rng, program)
-            if proposal is None:
-                continue
-            changed = [i for i, (a, b) in
-                       enumerate(zip(program.slots, proposal.slots))
-                       if a != b]
-            if changed:
-                assert span is not None
-                assert span == min(changed)
-                assert program.slots[:span] == proposal.slots[:span]
-            program = proposal
 
     def test_random_instruction_valid(self):
         for _ in range(100):
@@ -148,7 +119,7 @@ class TestMoves:
     def test_all_move_kinds_proposed(self):
         seen = set()
         for _ in range(200):
-            _, kind, _ = self.transforms.propose(self.rng, TARGET)
+            _, kind = self.transforms.propose(self.rng, TARGET)
             seen.add(kind)
         assert seen == set(MOVE_KINDS)
 
@@ -161,7 +132,7 @@ class TestErgodicity:
         locs = set()
         program = TARGET
         for _ in range(steps):
-            proposal, _, _ = transforms.propose(rng, program)
+            proposal, _ = transforms.propose(rng, program)
             if proposal is not None:
                 program = proposal
                 locs.add(program.loc)
@@ -210,7 +181,7 @@ class TestMoveKindRestriction:
         transforms = Transforms(TARGET, move_kinds=["swap"])
         rng = random.Random(0)
         for _ in range(50):
-            _, kind, _ = transforms.propose(rng, TARGET)
+            _, kind = transforms.propose(rng, TARGET)
             assert kind == "swap"
 
     def test_rejects_unknown_kind(self):

@@ -164,6 +164,40 @@ class TestOptimizeExitCodes:
         assert "zero proposals" in capsys.readouterr().out
 
 
+class TestCountArguments:
+    """Bad counts are argparse errors (exit 2), never a traceback, a
+    silently empty search or a verdict over zero samples."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "{k}", "--live-out", "xmm0", "--range", "xmm0=-1:1",
+         "--testcases", "0"],
+        ["optimize", "{k}", "--live-out", "xmm0", "--range", "xmm0=-1:1",
+         "--proposals", "-5"],
+        ["validate", "{k}", "{k}", "--live-out", "xmm0",
+         "--range", "xmm0=-1:1", "--proposals", "0"],
+    ], ids=["optimize-testcases-0", "optimize-proposals-neg",
+            "validate-proposals-0"])
+    def test_nonpositive_count_is_a_usage_error(self, kernel_file, capsys,
+                                                argv):
+        with pytest.raises(SystemExit) as exc:
+            main([kernel_file if arg == "{k}" else arg for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "{k}", "--live-out", "xmm0", "--range", "xmm0=-1:1"],
+        ["submit", "--store", "{k}", "--kernel", "dot"],
+    ], ids=["optimize", "submit"])
+    def test_search_takes_no_backend_option(self, kernel_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([kernel_file if arg == "{k}" else arg for arg in argv]
+                 + ["--backend", "jit"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestService:
     """submit/serve/status/artifacts happy path against a tmp store."""
 
