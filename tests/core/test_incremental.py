@@ -1,29 +1,20 @@
-"""Differential tests for checkpointed-prefix incremental evaluation.
+"""Differential tests for split execution with ``run_batch_from``.
 
-The incremental path (edit-span aware ``CostFunction.cost``) must be
-observationally identical to full evaluation: same live-out bits
-(including NaN payloads), same signals, same CostResult — for any edit
-position, either backend, and any interleaving with full evaluations,
-accepts, and checkpoint eviction.
+Running a program's prefix ``[0, start)`` and then resuming the same
+states with ``run_batch_from(start)`` must be observationally identical
+to one full run: same registers, same memory, same signals — on every
+backend and at every split point the suffix can resume from.
+``run_batch_from`` is the entry point the validator's block path
+executes through (``Runner.execute_batch_from``).
 """
-
-import random
 
 import pytest
 
 from repro.x86.assembler import assemble
-from repro.x86.checkpoint import (DEFAULT_STORE_BUDGET, STORE,
-                                  checkpoint_store_stats, checkpoint_stride,
-                                  clear_checkpoint_store, flags_live_in,
-                                  program_writes, resume_boundary,
-                                  set_checkpoint_budget, union_writes)
 from repro.x86.jit import compile_program
-from repro.x86.testcase import uniform_testcases
+from repro.x86.program import Program
 
-from repro.core.cost import CostConfig, CostFunction
 from repro.core.runner import Runner
-from repro.core.search import SearchConfig, Stoke
-from repro.core.transforms import Transforms
 
 from tests.conftest import base_testcase, random_program
 
@@ -31,10 +22,7 @@ BACKENDS = ("jit", "emulator", "vector")
 
 # A 12-instruction kernel with register arithmetic, a flags-producing
 # compare + conditional move, and stores/loads through the scratch
-# segment — every state component a checkpoint must carry.  Padded to 16
-# slots so the stride is 4 and edits in the back half resume from
-# boundary 8 or 12 (boundary 4 is unusable: flags are live across the
-# ucomisd/cmovae pair).
+# segment — every state component a split run must carry across.
 KERNEL = assemble("""
     movq $2.0d, xmm1
     mulsd xmm1, xmm0
@@ -53,78 +41,50 @@ KERNEL = assemble("""
 LIVE_OUTS = ("xmm0",)
 
 
-@pytest.fixture(autouse=True)
-def isolated_store():
-    """Each test starts from an empty global checkpoint store."""
-    clear_checkpoint_store()
-    set_checkpoint_budget(DEFAULT_STORE_BUDGET)
-    yield
-    clear_checkpoint_store()
-    set_checkpoint_budget(DEFAULT_STORE_BUDGET)
-
-
 def kernel_tests(count, seed=5):
     return [base_testcase(seed + i) for i in range(count)]
 
 
-def make_pair(target, tests, backend="jit", **cfg):
-    """(incremental, reference) cost functions over shared tests."""
-    config = CostConfig(**cfg)
-    inc = CostFunction(target, tests, LIVE_OUTS, config, backend=backend)
-    ref = CostFunction(target, tests, LIVE_OUTS, config, backend=backend)
-    return inc, ref
+def flags_live_in(program):
+    """``out[i]`` is True when some instruction at ``>= i`` reads the
+    status flags before any instruction writes them.  A split there is
+    not resumable: the compiled backends keep flags in locals and never
+    write them back to the state."""
+    slots = program.slots
+    out = [False] * (len(slots) + 1)
+    live = False
+    for i in range(len(slots) - 1, -1, -1):
+        spec = slots[i].spec
+        if spec.reads_flags:
+            live = True
+        elif spec.writes_flags:
+            live = False
+        out[i] = live
+    return out
 
 
-class TestStrideAndBoundaries:
-    def test_short_programs_have_no_checkpoints(self):
-        for n in range(4):
-            assert checkpoint_stride(n) == 0
+def run_split(runner, program, states, boundary):
+    """Run ``[0, boundary)`` as its own program, then resume the states
+    that survived it at ``boundary``; per-state signals."""
+    head = runner.execute_batch_from(
+        runner.prepare(Program(program.slots[:boundary])), states, 0)
+    alive = [i for i, sig in enumerate(head) if sig is None]
+    tail = runner.execute_batch_from(
+        runner.prepare(program), [states[i] for i in alive], boundary)
+    signals = list(head)
+    for i, sig in zip(alive, tail):
+        signals[i] = sig
+    return signals
 
-    def test_stride_tracks_sqrt(self):
-        assert checkpoint_stride(4) == 2
-        assert checkpoint_stride(16) == 4
-        assert checkpoint_stride(37) == 6
-        assert checkpoint_stride(64) == 8
 
-    def test_flags_liveness_brackets_the_consumer(self):
-        program = assemble("""
-            ucomisd xmm1, xmm0
-            cmovae rcx, rax
-            addsd xmm0, xmm0
-        """)
-        # cmovae at 1 reads the flags ucomisd at 0 writes: only a resume
-        # at index 1 would need prefix flag values.
-        assert flags_live_in(program) == (False, True, False, False)
-
-    def test_resume_boundary_steps_below_flags_dependence(self):
-        lines = ["addsd xmm0, xmm0"] * 16
-        lines[3] = "ucomisd xmm1, xmm0"
-        lines[5] = "cmovae rcx, rax"
-        program = assemble("\n".join(lines))
-        assert checkpoint_stride(16) == 4
-        # Edit at 9: boundary 8 has no live-in flags.
-        assert resume_boundary(program, 9) == 8
-        # Edit at 6: raw boundary 4 sits between ucomisd and cmovae,
-        # where flags are live — no usable boundary remains.
-        assert resume_boundary(program, 6) == 0
-        # Edits at or below index 0 cannot be resumed.
-        assert resume_boundary(program, 0) == 0
-
-    def test_union_writes(self):
-        a = ((1,), (0, 2), (0,), False)
-        b = ((1, 3), (2,), (2,), True)
-        assert union_writes(a, b) == ((1, 3), (0, 2), (0, 2), True)
-
-    def test_program_writes_covers_kernel_defs(self):
-        gp, xl, xh, mem = program_writes(KERNEL)
-        assert mem  # the movsd store
-        assert 1 in gp  # cmovae writes rcx
-        assert {0, 1, 2, 3}.issubset(set(xl))
-        assert xl == xh  # conservative: XMM defs count both halves
+def outcomes(runner, states, signals):
+    return [(None, sig) if sig is not None
+            else (runner.values_of(state), None)
+            for state, sig in zip(states, signals)]
 
 
 class TestSuffixEntryPoints:
-    """run_from / run_batch_from == full execution, both backends."""
+    """prefix run + run_batch_from == full execution, every backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(6))
@@ -135,29 +95,18 @@ class TestSuffixEntryPoints:
         prepared = runner.prepare(program)
         for tc in kernel_tests(3, seed=40 + seed):
             full = tc.build_state()
-            if backend == "emulator":
-                out_full = runner._emulator.run(program, full)
-            else:
-                out_full = prepared.run(full)
+            (full_signal,) = runner.execute_batch_from(prepared, [full], 0)
             for boundary in range(1, 12):
                 if flags[boundary]:
                     continue  # not a resumable split point
                 state = tc.build_state()
-                if backend == "emulator":
-                    emulator = runner._emulator
-                    head = emulator.run_from(program, state, 0, boundary)
-                    tail = (emulator.run_from(program, state, boundary)
-                            if head.ok else head)
-                else:
-                    head = prepared.run_from(0, state, stop=boundary)
-                    tail = (prepared.run_from(boundary, state)
-                            if head.ok else head)
-                if not out_full.ok:
+                (signal,) = run_split(runner, program, [state], boundary)
+                if full_signal is not None:
                     # Straight-line code: a fault in either piece must
                     # reproduce the full run's signal.
-                    assert (head.signal or tail.signal) == out_full.signal
+                    assert signal == full_signal
                     continue
-                assert head.ok and tail.ok
+                assert signal is None
                 assert state.gp == full.gp
                 assert state.xmm_lo == full.xmm_lo
                 assert state.xmm_hi == full.xmm_hi
@@ -174,331 +123,35 @@ class TestSuffixEntryPoints:
         assert [s.gp for s in a] == [s.gp for s in b]
         assert [s.xmm_lo for s in a] == [s.xmm_lo for s in b]
 
-    def test_suffix_segments_share_the_compile_cache(self):
-        prepared = compile_program(KERNEL)
-        assert prepared.segment(4) is prepared.segment(4)
-        assert prepared.resume_boundary(9) == 8
-        assert prepared.resume_boundary(5) == 0  # flags live at 4
-
-
-def walk_differential(backend, seed, steps=120, accept_every=7):
-    """Random MCMC-style walk asserting incremental == full per step."""
-    tests = kernel_tests(10, seed=seed)
-    inc, ref = make_pair(KERNEL, tests, backend=backend)
-    transforms = Transforms(KERNEL)
-    rng = random.Random(seed)
-    current = KERNEL
-    for step in range(steps):
-        proposal, _move, span = transforms.propose(rng, current)
-        if proposal is None:
-            continue
-        got = inc.cost(proposal, edit_index=span)
-        want = ref.cost(proposal)
-        assert got == want, (
-            f"step {step}: incremental {got} != full {want} "
-            f"(edit span {span})")
-        if step % accept_every == 0:
-            current = proposal
-            inc.set_current(proposal)
-    assert inc.incremental_hits > 0
-
-
-class TestIncrementalCostDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", (11, 23))
-    def test_walk_matches_full_evaluation(self, backend, seed):
-        walk_differential(backend, seed)
-
-    def test_walk_with_sum_reduction_and_eta(self):
-        tests = kernel_tests(8, seed=77)
-        inc, ref = make_pair(KERNEL, tests, reduction="sum", eta=4.0)
-        transforms = Transforms(KERNEL)
-        rng = random.Random(77)
-        for _step in range(80):
-            proposal, _move, span = transforms.propose(rng, KERNEL)
-            if proposal is None:
-                continue
-            assert inc.cost(proposal, edit_index=span) == ref.cost(proposal)
-
-    def test_interleaved_full_and_incremental_calls(self):
-        # The pooled states are shared by both paths; mixing them must
-        # not leak state in either direction.
-        tests = kernel_tests(8, seed=31)
-        inc, ref = make_pair(KERNEL, tests)
-        transforms = Transforms(KERNEL)
-        rng = random.Random(31)
-        for step in range(60):
-            proposal, _move, span = transforms.propose(rng, KERNEL)
-            if proposal is None:
-                continue
-            edit = span if step % 2 == 0 else None
-            assert inc.cost(proposal, edit_index=edit) == ref.cost(proposal)
-
-    def test_nan_payloads_survive_the_checkpoint_path(self):
-        # A non-canonical quiet-NaN payload flowing through prefix and
-        # suffix must read back bit-identically on the suffix path.
-        payload_nan = 0x7FFC0000DEADBEEF
-        tests = [base_testcase(3).replace("xmm0", payload_nan),
-                 base_testcase(4).replace("xmm0", payload_nan | (1 << 63))]
-        program = assemble("\n".join(["addsd xmm0, xmm0"] * 4
-                                     + ["mulsd xmm1, xmm0"] * 4))
-        runner = Runner(LIVE_OUTS)
-        prepared = runner.prepare(program)
-        full = runner.run_batch(prepared, tests)
-        boundary = resume_boundary(program, 5)
-        assert boundary > 0
-        states = [tc.build_state() for tc in tests]
-        for state in states:
-            assert prepared.run_from(0, state, stop=boundary).ok
-        assert prepared.run_batch_from(boundary, states) == [None, None]
-        assert [runner.values_of(s) for s in states] == \
-            [values for values, _sig in full]
-
-    def test_early_reject_paths_agree(self):
-        tests = kernel_tests(10, seed=13)
-        inc, ref = make_pair(KERNEL, tests)
-        transforms = Transforms(KERNEL)
-        rng = random.Random(13)
-        threshold = inc.cost(KERNEL).total + 1.0
-        for _step in range(80):
-            proposal, _move, span = transforms.propose(rng, KERNEL)
-            if proposal is None:
-                continue
-            got = inc.cost(proposal, early_reject_above=threshold,
-                           edit_index=span)
-            want = ref.cost(proposal, early_reject_above=threshold)
-            assert got == want
-
-
-class TestFaultingPrograms:
-    def _faulting_kernel(self, fault_slot):
-        # rax holds an arbitrary 64-bit pattern in base_testcase, so a
-        # load through it faults.
-        lines = ["addsd xmm0, xmm0"] * 12
-        lines[fault_slot] = "movsd (rax), xmm3"
-        return assemble("\n".join(lines))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("fault_slot", (1, 5, 10))
-    def test_faults_agree_with_full_evaluation(self, backend, fault_slot):
-        tests = kernel_tests(6, seed=50)
-        target = assemble("\n".join(["addsd xmm0, xmm0"] * 12))
-        inc, ref = make_pair(target, tests, backend=backend)
-        rewrite = self._faulting_kernel(fault_slot)
-        for edit in (3, 6, 9, 11):
-            got = inc.cost(rewrite, edit_index=edit)
-            inc._cache.clear()  # force re-evaluation at the next edit
-            assert got == ref.cost(rewrite)
-            ref._cache.clear()
-            assert got.signalled
-
-    def test_prefix_fault_sentinel_is_reused(self):
-        tests = kernel_tests(4, seed=51)
-        target = assemble("\n".join(["addsd xmm0, xmm0"] * 12))
-        inc, _ = make_pair(target, tests)
-        rewrite = self._faulting_kernel(1)  # fault inside every prefix
-        first = inc.cost(rewrite, edit_index=9)
-        captures = inc.incremental_captures
-        assert captures == len(tests)
-        # Same prefix, different suffix edit: the fault sentinel must
-        # satisfy the lookup without re-executing the prefix.
-        other = rewrite.with_slot(10, assemble("mulsd xmm0, xmm0").slots[0])
-        second = inc.cost(other, edit_index=10)
-        assert first.signalled and second.signalled
-        assert inc.incremental_captures == captures
-
-
-class TestCheckpointLifecycle:
-    def test_accept_prunes_incompatible_prefixes(self):
-        tests = kernel_tests(6)
-        inc, _ = make_pair(KERNEL, tests)
-        proposal = KERNEL.with_slot(9, assemble("mulsd xmm0, xmm0").slots[0])
-        inc.cost(proposal, edit_index=9)  # resumes from boundary 8
-        assert inc.incremental_hits == 1
-        assert len(STORE) == len(tests)
-        # Accept a program with a different slot 0: every checkpoint is
-        # keyed by a prefix the new current program no longer shares.
-        divergent = KERNEL.with_slot(0, assemble("movq $3.0d, xmm1").slots[0])
-        inc.set_current(divergent)
-        assert len(STORE) == 0
-        assert all(not tc._checkpoints for tc in tests)
-        before = checkpoint_store_stats()["invalidated"]
-        assert before == len(tests)
-        # A second prune with the same program is a no-op.
-        inc.set_current(divergent)
-        assert checkpoint_store_stats()["invalidated"] == before
-
-    def test_accept_keeps_shared_prefixes(self):
-        tests = kernel_tests(6)
-        inc, _ = make_pair(KERNEL, tests)
-        proposal = KERNEL.with_slot(9, assemble("mulsd xmm0, xmm0").slots[0])
-        inc.cost(proposal, edit_index=9)
-        # The proposal shares slots[:8] with KERNEL, so accepting it must
-        # keep every boundary-8 checkpoint warm.
-        inc.set_current(proposal)
-        assert len(STORE) == len(tests)
-        assert checkpoint_store_stats()["invalidated"] == 0
-
-    def test_store_lru_respects_byte_budget(self):
-        set_checkpoint_budget(2 * 1024)
-        tests = kernel_tests(8, seed=9)
-        inc, ref = make_pair(KERNEL, tests)
-        transforms = Transforms(KERNEL)
-        rng = random.Random(9)
-        current = KERNEL
-        for _step in range(60):
-            proposal, _move, span = transforms.propose(rng, current)
-            if proposal is None:
-                continue
-            assert inc.cost(proposal, edit_index=span) == ref.cost(proposal)
-            current = proposal  # never prune: prefixes accumulate
-        stats = checkpoint_store_stats()
-        assert stats["evictions"] > 0
-        assert stats["bytes"] <= 2 * 1024 or stats["entries"] <= 1
-        # Evicted entries were deleted from their owning tests too.
-        assert sum(len(tc._checkpoints) for tc in tests) == stats["entries"]
-
-    def test_duplicate_test_objects_fall_back(self):
-        tc = base_testcase(1)
-        inc, ref = make_pair(KERNEL, [tc, tc])
-        rewrite = KERNEL.with_slot(8, assemble("mulsd xmm1, xmm0").slots[0])
-        assert inc.cost(rewrite, edit_index=8) == ref.cost(rewrite)
-        assert inc.incremental_hits == 0
-        assert inc.incremental_fallbacks == 1
-
-    def test_edit_at_zero_falls_back(self):
-        tests = kernel_tests(4)
-        inc, ref = make_pair(KERNEL, tests)
-        rewrite = KERNEL.with_slot(0, assemble("movq $4.0d, xmm1").slots[0])
-        assert inc.cost(rewrite, edit_index=0) == ref.cost(rewrite)
-        assert inc.incremental_fallbacks == 1
-
-    def test_short_programs_fall_back(self):
-        short = assemble("addsd xmm0, xmm0\nmulsd xmm1, xmm0")
-        tests = kernel_tests(4)
-        inc, ref = make_pair(short, tests)
-        rewrite = short.with_slot(1, assemble("subsd xmm1, xmm0").slots[0])
-        assert inc.cost(rewrite, edit_index=1) == ref.cost(rewrite)
-        assert inc.incremental_fallbacks == 1
-
-
-class TestAdaptiveOrderingStability:
-    def test_promote_skip_window(self):
-        cf = CostFunction(KERNEL, kernel_tests(8), LIVE_OUTS, CostConfig())
-        # Index 0 is always a skip (already at the front).
-        cf._promote(0)
-        assert cf.promote_skips == 1 and cf.promote_moves == 0
-        # A fresh index is a real move...
-        victim = id(cf.tests[5])
-        cf._promote(5)
-        assert cf.promote_moves == 1
-        assert id(cf.tests[0]) == victim
-        # ...but re-promoting it from inside the stability window is
-        # skipped: the ladder's order is effectively unchanged.
-        for seq in (cf.tests, cf.target_outputs, cf._expected):
-            seq.insert(1, seq.pop(0))
-        cf._promote(1)
-        assert cf.promote_skips == 2 and cf.promote_moves == 1
-        # Beyond the window the same test is moved again.
-        far = cf._PROMOTE_WINDOW + 2
-        for seq in (cf.tests, cf.target_outputs, cf._expected):
-            seq.insert(far, seq.pop(1))
-        cf._promote(far)
-        assert cf.promote_moves == 2
-        assert id(cf.tests[0]) == victim
-
-
-class TestDceMemoization:
-    def test_dce_cache_counts_hits(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 8, {"xmm0": (-4.0, 4.0)})
-        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig())
-        cleaned = stoke._dce(tiny_target)
-        assert stoke._dce_misses == 1 and stoke._dce_hits == 0
-        assert stoke._dce(tiny_target) is cleaned
-        assert stoke._dce_hits == 1
-
-    def test_dce_cache_is_bounded(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 8, {"xmm0": (-4.0, 4.0)})
-        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig())
-        stoke.DCE_CACHE_CAP = 4
-        for seed in range(10):
-            stoke._dce(random_program(seed, 5))
-        assert len(stoke._dce_cache) <= 4
-
-
-class TestSearchEquivalence:
-    def test_incremental_search_is_bit_identical(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 12, {"xmm0": (-4.0, 4.0)})
-        results = []
-        for incremental in (False, True):
-            stoke = Stoke(tiny_target, tests, ["xmm0"],
-                          CostConfig(eta=1e12, k=1.0))
-            config = SearchConfig(proposals=800, seed=21, extra_slots=4,
-                                  incremental=incremental)
-            results.append(stoke.optimize(config))
-        off, on = results
-        assert on.best_cost == off.best_cost
-        assert on.trace == off.trace
-        assert on.stats.accepted == off.stats.accepted
-        assert on.stats.moves_accepted == off.stats.moves_accepted
-        assert on.best_correct_latency == off.best_correct_latency
-        assert on.stats.incremental["hits"] > 0
-        assert off.stats.incremental["hits"] == 0
-
-    def test_empty_init_disables_incremental(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 6, {"xmm0": (-4.0, 4.0)})
-        stoke = Stoke(tiny_target, tests, ["xmm0"],
-                      CostConfig(eta=1e12, k=0.0))
-        result = stoke.optimize(SearchConfig(proposals=200, seed=3,
-                                             init="empty"))
-        assert result.stats.incremental["hits"] == 0
-
-    def test_telemetry_exposes_incremental_counters(self, tiny_target):
-        tests = uniform_testcases(random.Random(0), 6, {"xmm0": (-4.0, 4.0)})
-        stoke = Stoke(tiny_target, tests, ["xmm0"], CostConfig(eta=1e12))
-        result = stoke.optimize(SearchConfig(proposals=300, seed=1))
-        tele = result.telemetry
-        for key in ("hits", "fallbacks", "captures", "checkpoint_bytes",
-                    "checkpoint_entries", "store_evictions"):
-            assert key in tele["incremental"]
-        assert set(tele["dce_cache"]) == {"hits", "misses"}
-        assert set(tele["test_ordering"]) == {"moves", "skips"}
-
 
 class TestVectorCheckpointComposition:
-    """Checkpoint-slice composition on the vector backend: resuming a
-    vectorized batch from a prefix boundary must equal full vector
-    execution and equal both scalar backends, bit for bit."""
+    """Resuming a vectorized batch from a mid-program boundary must equal
+    full vector execution and equal both scalar backends, bit for bit."""
 
     def _full_reference(self, backend, program, tests):
         runner = Runner(LIVE_OUTS, backend=backend)
         return runner.run_batch(runner.prepare(program), tests)
 
     def test_vector_resume_equals_full_across_backends(self):
-        from repro.x86.vector import vectorize_program
-
         tests = kernel_tests(8, seed=61)
         refs = [self._full_reference(b, KERNEL, tests)
                 for b in ("jit", "emulator", "vector")]
         assert refs[0] == refs[1] == refs[2]
         runner = Runner(LIVE_OUTS, backend="vector")
-        vp = vectorize_program(KERNEL)
         flags = flags_live_in(KERNEL)
+        resumed = 0
         for boundary in range(1, 12):
             if flags[boundary]:
                 continue
             states = [tc.build_state() for tc in tests]
-            for state in states:
-                assert vp.run_from(0, state, stop=boundary).ok
-            signals = vp.run_batch_from(boundary, states)
-            got = [(None, sig) if sig is not None
-                   else (runner.values_of(state), None)
-                   for state, sig in zip(states, signals)]
-            assert got == refs[0], f"boundary {boundary}"
+            signals = run_split(runner, KERNEL, states, boundary)
+            assert outcomes(runner, states, signals) == refs[0], \
+                f"boundary {boundary}"
+            resumed += 1
+        assert resumed > 0
 
     def test_vector_resume_with_mid_program_faulting_lane(self):
         from repro.x86.signals import Signal
-        from repro.x86.vector import vectorize_program
 
         # Slot 6 (inside the suffix for boundary 4) loads through rax;
         # one lane carries a wild pointer and must fault there, after
@@ -514,40 +167,12 @@ class TestVectorCheckpointComposition:
         assert refs[0] == refs[1] == refs[2]
         assert refs[0][1] == (None, Signal.SIGSEGV)
         runner = Runner(LIVE_OUTS, backend="vector")
-        vp = vectorize_program(program)
-        boundary = resume_boundary(program, 5)
-        assert 0 < boundary <= 6
+        boundary = 4
+        assert not flags_live_in(program)[boundary]
         states = [tc.build_state() for tc in tests]
-        for state in states:
-            assert vp.run_from(0, state, stop=boundary).ok
-        signals = vp.run_batch_from(boundary, states)
-        got = [(None, sig) if sig is not None
-               else (runner.values_of(state), None)
-               for state, sig in zip(states, signals)]
-        assert got == refs[0]
-
-    def test_vector_incremental_cost_matches_scalar_backends(self):
-        # The full incremental path (checkpoint capture, suffix resume,
-        # promise-scoped pooled restore) through CostFunction must give
-        # identical CostResults on all three backends.
-        tests = kernel_tests(8, seed=67)
-        transforms = Transforms(KERNEL)
-        rng = random.Random(67)
-        proposals = []
-        current = KERNEL
-        while len(proposals) < 40:
-            proposal, _move, span = transforms.propose(rng, current)
-            if proposal is not None:
-                proposals.append((proposal, span))
-        per_backend = []
-        for backend in ("jit", "emulator", "vector"):
-            clear_checkpoint_store()
-            inc, ref = make_pair(KERNEL, tests, backend=backend)
-            costs = []
-            for proposal, span in proposals:
-                got = inc.cost(proposal, edit_index=span)
-                assert got == ref.cost(proposal)
-                costs.append(got)
-            assert inc.incremental_hits > 0
-            per_backend.append(costs)
-        assert per_backend[0] == per_backend[1] == per_backend[2]
+        head = runner.execute_batch_from(
+            runner.prepare(Program(program.slots[:boundary])), states, 0)
+        assert head == [None] * len(tests)  # the fault is in the suffix
+        signals = runner.execute_batch_from(
+            runner.prepare(program), states, boundary)
+        assert outcomes(runner, states, signals) == refs[0]
