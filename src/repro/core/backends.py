@@ -15,7 +15,10 @@ A backend is either *compiled* (``prepare`` translates the program once
 into an object exposing the ``CompiledProgram`` execution surface —
 ``writes``, ``run``, ``run_batch``, ``run_batch_from``) or
 *interpreted* (``prepare`` is the identity and execution goes through an
-:class:`~repro.x86.emulator.Emulator`).
+:class:`~repro.x86.emulator.Emulator`).  Interpreting still translates
+nothing per program: each instruction binds its emulator step once and
+caches it (``Instruction.step``), so a proposal that changes one slot
+reuses every other slot's step.
 """
 
 from __future__ import annotations

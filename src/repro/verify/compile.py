@@ -582,7 +582,7 @@ def _compile_movd(instr):
 
             def step(state):
                 value = state.gp[si]
-                if value is TOP:
+                if not isinstance(value, int):  # TOP or an IntInterval
                     raise IntervalUnsupported("movd from symbolic register")
                 bits = value & 0xFFFFFFFF
                 state.xmm[di] = [_Half.bits(bits), _ZERO_BITS]

@@ -929,7 +929,7 @@ def _exec_interval(state: _IntervalState, instr) -> None:
                 bits = src.value & 0xFFFFFFFF
             elif isinstance(src, (Reg32, Reg64)):
                 value = state.gp[src.index]
-                if value is TOP:
+                if not isinstance(value, int):  # TOP or an IntInterval
                     raise IntervalUnsupported("movd from symbolic register")
                 bits = value & 0xFFFFFFFF
             else:

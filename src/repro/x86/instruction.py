@@ -9,7 +9,7 @@ modelled as the zero-latency ``nop`` opcode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 from repro.x86.opcodes import OpcodeSpec, instruction_latency, spec_of
 from repro.x86.operands import Operand
@@ -55,6 +55,18 @@ class Instruction:
             return spec
 
     @property
+    def step(self) -> Callable:
+        """This instruction's emulator step, bound once (see
+        :mod:`repro.x86.opcodes`).  A proposal changes one slot, so every
+        other slot of the proposed program is a cache hit here."""
+        try:
+            return self._step
+        except AttributeError:
+            step = self.spec.bind_fn(self.operands)
+            object.__setattr__(self, "_step", step)
+            return step
+
+    @property
     def is_unused(self) -> bool:
         return self.opcode == "nop"
 
@@ -68,9 +80,9 @@ class Instruction:
             return value
 
     def __getstate__(self):
-        # Drop memoized attributes: the spec holds exec/emit closures,
-        # which do not pickle (programs cross process boundaries in the
-        # parallel multi-chain search).
+        # Drop memoized attributes: the spec and the bound step hold
+        # closures, which do not pickle (programs cross process
+        # boundaries in the parallel multi-chain search).
         return (self.opcode, self.operands)
 
     def __setstate__(self, state) -> None:

@@ -5,15 +5,20 @@ and for the search's random operand/opcode proposals, an approximate
 Haswell latency used by the performance term (Section 5.2 / Figure 8), and
 two semantic functions:
 
-* ``exec_fn(state, ops)`` — interpretive semantics for the emulator
-  backend (the original-STOKE-style evaluator), operating on raw bit
-  patterns via the helpers in :mod:`repro.x86.scalar`;
+* ``bind_fn(ops) -> step`` — interpretive semantics for the emulator
+  backend.  Binding resolves operand kinds, register indices, immediates
+  and the :mod:`repro.x86.scalar` helper once per instruction; the
+  returned ``step(state)`` then operates on raw bit patterns in the live
+  state.  A step captures only operand-derived values and reads
+  ``state.gp``/``xmm_lo``/``xmm_hi``/``flags``/``mem`` at call time, so
+  one bound step serves every test state.
 * ``emit_fn(ctx, ops)`` — Python code generation for the
   representation-tracking JIT backend (Section 5.1), which keeps
   floating-point values in native float form across instructions.
 
-A hypothesis differential test in ``tests/x86/test_differential.py``
-checks the two backends agree bit-for-bit on random programs.
+``tests/x86/test_differential.py`` checks the two agree bit-for-bit on
+random programs, and ``tests/x86/test_bound_steps.py`` checks every
+opcode's bound step against the JIT for each operand shape it accepts.
 
 Subset restrictions (documented deviations from real x86-64):
 
@@ -41,6 +46,7 @@ from repro.x86.operands import (
     Reg64,
     Xmm,
 )
+from repro.x86.state import addr_fn, reader32, reader64, reader128, writer
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -70,7 +76,7 @@ class OpcodeSpec:
     name: str
     slots: Tuple[Slot, ...]
     latency: int
-    exec_fn: Callable
+    bind_fn: Callable
     emit_fn: Callable
     flavor: str = "float"  # 'float' | 'int' | 'move' | 'cmp' | 'nop'
     # Extra operand-combination constraint (e.g. mov cannot be mem->mem).
@@ -116,9 +122,13 @@ def spec_of(name: str) -> OpcodeSpec:
 # ---------------------------------------------------------------------------
 # family builders
 #
-# AT&T operand order throughout: sources first, destination last.  Exec
+# AT&T operand order throughout: sources first, destination last.  Scalar
 # helpers use the convention helper(dst_value, src_value); emit templates
 # are format strings over {d} (dst) and {s} (src) float expressions.
+#
+# Bound steps write results straight into the state's lists.  Scalar
+# helper results and register values are already in range, so only
+# integer arithmetic that can overflow is masked.
 
 XMM_M64 = (Kind.XMM, Kind.M64)
 XMM_M32 = (Kind.XMM, Kind.M32)
@@ -128,73 +138,89 @@ XMM_M128 = (Kind.XMM, Kind.M128)
 def _sd_binop(helper: str, template: str):
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        src = state.read64(ops[0])
-        dst = ops[1]
-        state.write_xmm_lo(dst, fn(state.xmm_lo[dst.index], src))
+    def bind(ops):
+        read, d = reader64(ops[0]), ops[1].index
+
+        def step(state):
+            lo = state.xmm_lo
+            lo[d] = fn(lo[d], read(state))
+        return step
 
     def em(ctx, ops):
         s = ctx.src_f64(ops[0])
         d = ctx.f64(ops[1].index)
         ctx.set_f64(ops[1].index, template.format(d=d, s=s))
 
-    return ex, em
+    return bind, em
 
 
 def _sd_unop(helper: str, template: str):
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        state.write_xmm_lo(ops[1], fn(state.read64(ops[0])))
+    def bind(ops):
+        read, d = reader64(ops[0]), ops[1].index
+
+        def step(state):
+            state.xmm_lo[d] = fn(read(state))
+        return step
 
     def em(ctx, ops):
         s = ctx.src_f64(ops[0])
         ctx.set_f64(ops[1].index, template.format(s=s))
 
-    return ex, em
+    return bind, em
 
 
 def _ss_binop(helper: str, template: str):
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        src = state.read32(ops[0])
-        dst = ops[1]
-        lo = state.xmm_lo[dst.index]
-        state.write_xmm_lo(dst, (lo & HI32) | fn(lo & M32, src))
+    def bind(ops):
+        read, d = reader32(ops[0]), ops[1].index
+
+        def step(state):
+            lo = state.xmm_lo
+            old = lo[d]
+            lo[d] = (old & HI32) | fn(old & M32, read(state))
+        return step
 
     def em(ctx, ops):
         s = ctx.src_f32(ops[0])
         d = ctx.f32(ops[1].index, 0)
         ctx.set_lane(ops[1].index, 0, template.format(d=d, s=s))
 
-    return ex, em
+    return bind, em
 
 
 def _ss_unop(helper: str, template: str):
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        dst = ops[1]
-        lo = state.xmm_lo[dst.index]
-        state.write_xmm_lo(dst, (lo & HI32) | fn(state.read32(ops[0])))
+    def bind(ops):
+        read, d = reader32(ops[0]), ops[1].index
+
+        def step(state):
+            lo = state.xmm_lo
+            lo[d] = (lo[d] & HI32) | fn(read(state))
+        return step
 
     def em(ctx, ops):
         s = ctx.src_f32(ops[0])
         ctx.set_lane(ops[1].index, 0, template.format(s=s))
 
-    return ex, em
+    return bind, em
 
 
 def _avx_sd_binop(helper: str, template: str):
     # v<op>sd s1, s2, d  computes  d.lo = op(s2.lo, s1.lo);  d.hi = s2.hi
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        s1 = state.read64(ops[0])
-        s2 = ops[1]
-        lo = fn(state.xmm_lo[s2.index], s1)
-        state.write_xmm(ops[2], lo, state.xmm_hi[s2.index])
+    def bind(ops):
+        read, s2, d = reader64(ops[0]), ops[1].index, ops[2].index
+
+        def step(state):
+            lo, hi = state.xmm_lo, state.xmm_hi
+            lo[d] = fn(lo[s2], read(state))
+            hi[d] = hi[s2]
+        return step
 
     def em(ctx, ops):
         s1 = ctx.src_f64(ops[0])
@@ -205,17 +231,21 @@ def _avx_sd_binop(helper: str, template: str):
         ctx.copy_half(d, "h", ops[1].index, "h")
         ctx.set_f64(d, t)
 
-    return ex, em
+    return bind, em
 
 
 def _avx_ss_binop(helper: str, template: str):
     fn = getattr(scalar, helper)
 
-    def ex(state, ops):
-        s1 = state.read32(ops[0])
-        s2 = ops[1]
-        lo = (state.xmm_lo[s2.index] & HI32) | fn(state.xmm_lo[s2.index] & M32, s1)
-        state.write_xmm(ops[2], lo, state.xmm_hi[s2.index])
+    def bind(ops):
+        read, s2, d = reader32(ops[0]), ops[1].index, ops[2].index
+
+        def step(state):
+            lo, hi = state.xmm_lo, state.xmm_hi
+            old = lo[s2]
+            lo[d] = (old & HI32) | fn(old & M32, read(state))
+            hi[d] = hi[s2]
+        return step
 
     def em(ctx, ops):
         s1 = ctx.src_f32(ops[0])
@@ -227,7 +257,7 @@ def _avx_ss_binop(helper: str, template: str):
         ctx.copy_half(d, "h", ops[1].index, "h")
         ctx.set_lanes(d, t, s2l1)
 
-    return ex, em
+    return bind, em
 
 
 def _fma_sd(order: str, bits_helper: str, float_helper: str,
@@ -244,12 +274,13 @@ def _fma_sd(order: str, bits_helper: str, float_helper: str,
             return o2, d, o1
         return o2, o1, d
 
-    def ex(state, ops):
-        o1 = state.read64(ops[0])
-        o2 = state.xmm_lo[ops[1].index]
-        d = ops[2]
-        a, b, c = args_of(o1, o2, state.xmm_lo[d.index])
-        state.write_xmm_lo(d, fn(a, b, c))
+    def bind(ops):
+        read, o2, d = reader64(ops[0]), ops[1].index, ops[2].index
+
+        def step(state):
+            lo = state.xmm_lo
+            lo[d] = fn(*args_of(read(state), lo[o2], lo[d]))
+        return step
 
     def em(ctx, ops):
         o1 = ctx.src_f64(ops[0])
@@ -262,7 +293,7 @@ def _fma_sd(order: str, bits_helper: str, float_helper: str,
             c = f"(-({c}))"
         ctx.set_f64(ops[2].index, f"{float_helper}({a}, {b}, {c})")
 
-    return ex, em
+    return bind, em
 
 
 def _fma_ss(order: str):
@@ -275,13 +306,15 @@ def _fma_ss(order: str):
             return o2, d, o1
         return o2, o1, d
 
-    def ex(state, ops):
-        o1 = state.read32(ops[0])
-        o2 = state.xmm_lo[ops[1].index] & M32
-        d = ops[2]
-        lo = state.xmm_lo[d.index]
-        a, b, c = args_of(o1, o2, lo & M32)
-        state.write_xmm_lo(d, (lo & HI32) | fn(a, b, c))
+    def bind(ops):
+        read, o2, d = reader32(ops[0]), ops[1].index, ops[2].index
+
+        def step(state):
+            lo = state.xmm_lo
+            old = lo[d]
+            lo[d] = (old & HI32) | fn(*args_of(read(state), lo[o2] & M32,
+                                               old & M32))
+        return step
 
     def em(ctx, ops):
         o1 = ctx.src_f32(ops[0])
@@ -290,20 +323,27 @@ def _fma_ss(order: str):
         a, b, c = args_of(o1, o2, d)
         ctx.set_lane(ops[2].index, 0, f"fma_fff({a}, {b}, {c})")
 
-    return ex, em
+    return bind, em
+
+
+def _bind_halves(fn):
+    """Binder for ``dst.q = fn(dst.q, src.q)`` on both 64-bit halves."""
+
+    def bind(ops):
+        read, d = reader128(ops[0]), ops[1].index
+
+        def step(state):
+            slo, shi = read(state)
+            lo, hi = state.xmm_lo, state.xmm_hi
+            lo[d] = fn(lo[d], slo)
+            hi[d] = fn(hi[d], shi)
+        return step
+
+    return bind
 
 
 def _pd_binop(helper: str, template: str):
-    fn = getattr(scalar, helper)
-
-    def ex(state, ops):
-        slo, shi = state.read128(ops[0])
-        dst = ops[1]
-        state.write_xmm(
-            dst,
-            fn(state.xmm_lo[dst.index], slo),
-            fn(state.xmm_hi[dst.index], shi),
-        )
+    bind = _bind_halves(getattr(scalar, helper))
 
     def em(ctx, ops):
         slo, shi = ctx.src_f64_halves(ops[0])
@@ -314,20 +354,11 @@ def _pd_binop(helper: str, template: str):
         ctx.set_f64(d, template.format(d=dhi, s=shi), part="h")
         ctx.set_f64(d, tlo, part="l")
 
-    return ex, em
+    return bind, em
 
 
 def _ps_binop(helper64: str, template: str):
-    fn = getattr(scalar, helper64)
-
-    def ex(state, ops):
-        slo, shi = state.read128(ops[0])
-        dst = ops[1]
-        state.write_xmm(
-            dst,
-            fn(state.xmm_lo[dst.index], slo),
-            fn(state.xmm_hi[dst.index], shi),
-        )
+    bind = _bind_halves(getattr(scalar, helper64))
 
     def em(ctx, ops):
         src = ctx.src_f32_lanes(ops[0])
@@ -339,19 +370,14 @@ def _ps_binop(helper64: str, template: str):
         ctx.set_lanes(d, temps[0], temps[1], part="l")
         ctx.set_lanes(d, temps[2], temps[3], part="h")
 
-    return ex, em
+    return bind, em
 
 
 def _bitwise128(pyop: str):
     # pyop is a Python operator template over (dst, src) bit patterns;
     # compiled once here into a lambda for the emulator.
-    fn = eval(f"lambda d, s: {pyop.format(d='d', s='s')}")  # noqa: S307
-
-    def ex(state, ops):
-        slo, shi = state.read128(ops[0])
-        dst = ops[1]
-        state.write_xmm(dst, fn(state.xmm_lo[dst.index], slo),
-                        fn(state.xmm_hi[dst.index], shi))
+    bind = _bind_halves(
+        eval(f"lambda d, s: {pyop.format(d='d', s='s')}"))  # noqa: S307
 
     def em(ctx, ops):
         slo, shi = ctx.src128_bits(ops[0])
@@ -362,7 +388,7 @@ def _bitwise128(pyop: str):
         ctx.set_bits(d, pyop.format(d=dhi, s=shi), part="h")
         ctx.set_bits(d, t, part="l")
 
-    return ex, em
+    return bind, em
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +402,13 @@ for _name, _helper, _tmpl, _lat in [
     ("minsd", "min_d", "min_dd({d}, {s})", 3),
     ("maxsd", "max_d", "max_dd({d}, {s})", 3),
 ]:
-    _ex, _em = _sd_binop(_helper, _tmpl)
+    _bind, _em = _sd_binop(_helper, _tmpl)
     _register(OpcodeSpec(_name, (slot(*XMM_M64), slot(Kind.XMM, write=True)),
-                         _lat, _ex, _em))
+                         _lat, _bind, _em))
 
-_ex, _em = _sd_unop("sqrt_d", "sqrt_dd({s})")
+_bind, _em = _sd_unop("sqrt_d", "sqrt_dd({s})")
 _register(OpcodeSpec("sqrtsd", (slot(*XMM_M64), slot(Kind.XMM, read=False, write=True)),
-                     16, _ex, _em))
+                     16, _bind, _em))
 
 for _name, _helper, _tmpl, _lat in [
     ("addss", "add_f", "f32r({d} + {s})", 3),
@@ -392,13 +418,13 @@ for _name, _helper, _tmpl, _lat in [
     ("minss", "min_f", "min_dd({d}, {s})", 3),
     ("maxss", "max_f", "max_dd({d}, {s})", 3),
 ]:
-    _ex, _em = _ss_binop(_helper, _tmpl)
+    _bind, _em = _ss_binop(_helper, _tmpl)
     _register(OpcodeSpec(_name, (slot(*XMM_M32), slot(Kind.XMM, write=True)),
-                         _lat, _ex, _em))
+                         _lat, _bind, _em))
 
-_ex, _em = _ss_unop("sqrt_f", "sqrt_ff({s})")
+_bind, _em = _ss_unop("sqrt_f", "sqrt_ff({s})")
 _register(OpcodeSpec("sqrtss", (slot(*XMM_M32), slot(Kind.XMM, write=True)),
-                     11, _ex, _em))
+                     11, _bind, _em))
 
 for _name, _helper, _tmpl, _lat in [
     ("vaddsd", "add_d", "{d} + {s}", 3),
@@ -408,11 +434,11 @@ for _name, _helper, _tmpl, _lat in [
     ("vminsd", "min_d", "min_dd({d}, {s})", 3),
     ("vmaxsd", "max_d", "max_dd({d}, {s})", 3),
 ]:
-    _ex, _em = _avx_sd_binop(_helper, _tmpl)
+    _bind, _em = _avx_sd_binop(_helper, _tmpl)
     _register(OpcodeSpec(
         _name,
         (slot(*XMM_M64), slot(Kind.XMM), slot(Kind.XMM, read=False, write=True)),
-        _lat, _ex, _em, partial_dst=False))
+        _lat, _bind, _em, partial_dst=False))
 
 for _name, _helper, _tmpl, _lat in [
     ("vaddss", "add_f", "f32r({d} + {s})", 3),
@@ -420,34 +446,34 @@ for _name, _helper, _tmpl, _lat in [
     ("vmulss", "mul_f", "f32r({d} * {s})", 5),
     ("vdivss", "div_f", "div_ff({d}, {s})", 11),
 ]:
-    _ex, _em = _avx_ss_binop(_helper, _tmpl)
+    _bind, _em = _avx_ss_binop(_helper, _tmpl)
     _register(OpcodeSpec(
         _name,
         (slot(*XMM_M32), slot(Kind.XMM), slot(Kind.XMM, read=False, write=True)),
-        _lat, _ex, _em, partial_dst=False))
+        _lat, _bind, _em, partial_dst=False))
 
 for _order in ("132", "213", "231"):
-    _ex, _em = _fma_sd(_order, "fma_d", "fma_ddd")
+    _bind, _em = _fma_sd(_order, "fma_d", "fma_ddd")
     _register(OpcodeSpec(
         f"vfmadd{_order}sd",
         (slot(*XMM_M64), slot(Kind.XMM), slot(Kind.XMM, write=True)),
-        5, _ex, _em))
-    _exs, _ems = _fma_ss(_order)
+        5, _bind, _em))
+    _binds, _ems = _fma_ss(_order)
     _register(OpcodeSpec(
         f"vfmadd{_order}ss",
         (slot(*XMM_M32), slot(Kind.XMM), slot(Kind.XMM, write=True)),
-        5, _exs, _ems))
+        5, _binds, _ems))
 
-_ex, _em = _fma_sd("213", "fnma_d", "fma_ddd", negate_product=True)
+_bind, _em = _fma_sd("213", "fnma_d", "fma_ddd", negate_product=True)
 _register(OpcodeSpec(
     "vfnmadd213sd",
     (slot(*XMM_M64), slot(Kind.XMM), slot(Kind.XMM, write=True)),
-    5, _ex, _em))
-_ex, _em = _fma_sd("213", "fms_d", "fma_ddd", negate_addend=True)
+    5, _bind, _em))
+_bind, _em = _fma_sd("213", "fms_d", "fma_ddd", negate_addend=True)
 _register(OpcodeSpec(
     "vfmsub213sd",
     (slot(*XMM_M64), slot(Kind.XMM), slot(Kind.XMM, write=True)),
-    5, _ex, _em))
+    5, _bind, _em))
 
 # ---------------------------------------------------------------------------
 # packed floating-point arithmetic
@@ -458,9 +484,9 @@ for _name, _helper, _tmpl, _lat in [
     ("mulpd", "mul_d", "{d} * {s}", 5),
     ("divpd", "div_d", "div_dd({d}, {s})", 14),
 ]:
-    _ex, _em = _pd_binop(_helper, _tmpl)
+    _bind, _em = _pd_binop(_helper, _tmpl)
     _register(OpcodeSpec(_name, (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                         _lat, _ex, _em, partial_dst=False))
+                         _lat, _bind, _em, partial_dst=False))
 
 for _name, _helper, _tmpl, _lat in [
     ("addps", "add_ps64", "f32r({d} + {s})", 3),
@@ -468,9 +494,9 @@ for _name, _helper, _tmpl, _lat in [
     ("mulps", "mul_ps64", "f32r({d} * {s})", 5),
     ("divps", "div_ps64", "div_ff({d}, {s})", 11),
 ]:
-    _ex, _em = _ps_binop(_helper, _tmpl)
+    _bind, _em = _ps_binop(_helper, _tmpl)
     _register(OpcodeSpec(_name, (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                         _lat, _ex, _em, partial_dst=False))
+                         _lat, _bind, _em, partial_dst=False))
 
 for _name, _tmpl in [
     ("andpd", "{d} & {s}"), ("orpd", "{d} | {s}"), ("xorpd", "{d} ^ {s}"),
@@ -478,19 +504,21 @@ for _name, _tmpl in [
     ("andps", "{d} & {s}"), ("orps", "{d} | {s}"), ("xorps", "{d} ^ {s}"),
     ("pand", "{d} & {s}"), ("por", "{d} | {s}"), ("pxor", "{d} ^ {s}"),
 ]:
-    _ex, _em = _bitwise128(_tmpl)
+    _bind, _em = _bitwise128(_tmpl)
     _register(OpcodeSpec(_name, (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                         1, _ex, _em, partial_dst=False))
+                         1, _bind, _em, partial_dst=False))
 
 
 # ---------------------------------------------------------------------------
 # shuffles / unpacks
 
 
-def _ex_unpcklpd(state, ops):
-    slo, _ = state.read128(ops[0])
-    dst = ops[1]
-    state.write_xmm(dst, state.xmm_lo[dst.index], slo)
+def _bind_unpcklpd(ops):
+    read, d = reader128(ops[0]), ops[1].index
+
+    def step(state):
+        state.xmm_hi[d] = read(state)[0]
+    return step
 
 
 def _em_unpcklpd(ctx, ops):
@@ -502,13 +530,18 @@ def _em_unpcklpd(ctx, ops):
 
 
 _register(OpcodeSpec("unpcklpd", (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                     1, _ex_unpcklpd, _em_unpcklpd))
+                     1, _bind_unpcklpd, _em_unpcklpd))
 
 
-def _ex_unpckhpd(state, ops):
-    _, shi = state.read128(ops[0])
-    dst = ops[1]
-    state.write_xmm(dst, state.xmm_hi[dst.index], shi)
+def _bind_unpckhpd(ops):
+    read, d = reader128(ops[0]), ops[1].index
+
+    def step(state):
+        shi = read(state)[1]
+        hi = state.xmm_hi
+        state.xmm_lo[d] = hi[d]
+        hi[d] = shi
+    return step
 
 
 def _em_unpckhpd(ctx, ops):
@@ -524,16 +557,19 @@ def _em_unpckhpd(ctx, ops):
 
 
 _register(OpcodeSpec("unpckhpd", (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                     1, _ex_unpckhpd, _em_unpckhpd))
+                     1, _bind_unpckhpd, _em_unpckhpd))
 
 
-def _ex_punpckldq(state, ops):
-    slo, _ = state.read128(ops[0])
-    dst = ops[1]
-    dlo = state.xmm_lo[dst.index]
-    new_lo = (dlo & M32) | ((slo & M32) << 32)
-    new_hi = ((dlo >> 32) & M32) | (slo & HI32)
-    state.write_xmm(dst, new_lo, new_hi)
+def _bind_punpckldq(ops):
+    read, d = reader128(ops[0]), ops[1].index
+
+    def step(state):
+        slo = read(state)[0]
+        lo = state.xmm_lo
+        dlo = lo[d]
+        lo[d] = (dlo & M32) | ((slo & M32) << 32)
+        state.xmm_hi[d] = ((dlo >> 32) & M32) | (slo & HI32)
+    return step
 
 
 def _em_punpckldq(ctx, ops):
@@ -551,19 +587,22 @@ def _em_punpckldq(ctx, ops):
 
 
 _register(OpcodeSpec("punpckldq", (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-                     1, _ex_punpckldq, _em_punpckldq))
+                     1, _bind_punpckldq, _em_punpckldq))
 
 
-def _ex_pshufd(state, ops):
+def _bind_pshufd(ops):
     imm = ops[0].value & 0xFF
-    slo, shi = state.read128(ops[1])
-    dwords = []
-    for j in range(4):
-        sel = (imm >> (2 * j)) & 3
-        quad = slo if sel < 2 else shi
-        dwords.append((quad >> (32 * (sel & 1))) & M32)
-    state.write_xmm(ops[2], dwords[0] | (dwords[1] << 32),
-                    dwords[2] | (dwords[3] << 32))
+    # Per destination dword: (source quad, shift within it).
+    sels = [(imm >> (2 * j)) & 3 for j in range(4)]
+    picks = tuple((sel >> 1, 32 * (sel & 1)) for sel in sels)
+    read, d = reader128(ops[1]), ops[2].index
+
+    def step(state):
+        quads = read(state)
+        w0, w1, w2, w3 = [(quads[q] >> sh) & M32 for q, sh in picks]
+        state.xmm_lo[d] = w0 | (w1 << 32)
+        state.xmm_hi[d] = w2 | (w3 << 32)
+    return step
 
 
 def _dword_expr(lo: str, hi: str, j: int) -> str:
@@ -588,17 +627,23 @@ def _em_pshufd(ctx, ops):
 _register(OpcodeSpec(
     "pshufd",
     (slot(Kind.IMM), slot(*XMM_M128), slot(Kind.XMM, read=False, write=True)),
-    1, _ex_pshufd, _em_pshufd, partial_dst=False))
+    1, _bind_pshufd, _em_pshufd, partial_dst=False))
 
 
-def _ex_pshuflw(state, ops):
+def _bind_pshuflw(ops):
     imm = ops[0].value & 0xFF
-    slo, shi = state.read128(ops[1])
-    words = [(slo >> (16 * j)) & 0xFFFF for j in range(4)]
-    new_lo = 0
-    for j in range(4):
-        new_lo |= words[(imm >> (2 * j)) & 3] << (16 * j)
-    state.write_xmm(ops[2], new_lo, shi)
+    # Per destination word j: (shift of the selected source word, 16 * j).
+    picks = tuple((16 * ((imm >> (2 * j)) & 3), 16 * j) for j in range(4))
+    read, d = reader128(ops[1]), ops[2].index
+
+    def step(state):
+        slo, shi = read(state)
+        new_lo = 0
+        for src_shift, dst_shift in picks:
+            new_lo |= ((slo >> src_shift) & 0xFFFF) << dst_shift
+        state.xmm_lo[d] = new_lo
+        state.xmm_hi[d] = shi
+    return step
 
 
 def _em_pshuflw(ctx, ops):
@@ -622,21 +667,33 @@ for _name in ("pshuflw", "vpshuflw"):
     _register(OpcodeSpec(
         _name,
         (slot(Kind.IMM), slot(*XMM_M128), slot(Kind.XMM, read=False, write=True)),
-        1, _ex_pshuflw, _em_pshuflw, partial_dst=False))
+        1, _bind_pshuflw, _em_pshuflw, partial_dst=False))
 
 
 # ---------------------------------------------------------------------------
 # moves
 
 
-def _ex_movsd(state, ops):
+def _bind_movsd(ops):
     src, dst = ops
     if isinstance(dst, Mem):
-        state.mem.store8(state.addr(dst), state.xmm_lo[src.index])
+        addr, s = addr_fn(dst), src.index
+
+        def step(state):
+            state.mem.store8(addr(state), state.xmm_lo[s])
     elif isinstance(src, Mem):
-        state.write_xmm(dst, state.mem.load8(state.addr(src)), 0)
+        addr, d = addr_fn(src), dst.index
+
+        def step(state):
+            state.xmm_lo[d] = state.mem.load8(addr(state))
+            state.xmm_hi[d] = 0
     else:
-        state.write_xmm_lo(dst, state.xmm_lo[src.index])
+        s, d = src.index, dst.index
+
+        def step(state):
+            lo = state.xmm_lo
+            lo[d] = lo[s]
+    return step
 
 
 def _em_movsd(ctx, ops):
@@ -657,18 +714,29 @@ def _not_mem_to_mem(ops):
 _register(OpcodeSpec(
     "movsd",
     (slot(Kind.XMM, Kind.M64), slot(Kind.XMM, Kind.M64, read=False, write=True)),
-    2, _ex_movsd, _em_movsd, flavor="move", valid_fn=_not_mem_to_mem))
+    2, _bind_movsd, _em_movsd, flavor="move", valid_fn=_not_mem_to_mem))
 
 
-def _ex_movss(state, ops):
+def _bind_movss(ops):
     src, dst = ops
     if isinstance(dst, Mem):
-        state.mem.store4(state.addr(dst), state.xmm_lo[src.index] & M32)
+        addr, s = addr_fn(dst), src.index
+
+        def step(state):
+            state.mem.store4(addr(state), state.xmm_lo[s] & M32)
     elif isinstance(src, Mem):
-        state.write_xmm(dst, state.mem.load4(state.addr(src)), 0)
+        addr, d = addr_fn(src), dst.index
+
+        def step(state):
+            state.xmm_lo[d] = state.mem.load4(addr(state))
+            state.xmm_hi[d] = 0
     else:
-        lo = state.xmm_lo[dst.index]
-        state.write_xmm_lo(dst, (lo & HI32) | (state.xmm_lo[src.index] & M32))
+        s, d = src.index, dst.index
+
+        def step(state):
+            lo = state.xmm_lo
+            lo[d] = (lo[d] & HI32) | (lo[s] & M32)
+    return step
 
 
 def _em_movss(ctx, ops):
@@ -695,17 +763,22 @@ def _em_movss(ctx, ops):
 _register(OpcodeSpec(
     "movss",
     (slot(Kind.XMM, Kind.M32), slot(Kind.XMM, Kind.M32, read=False, write=True)),
-    2, _ex_movss, _em_movss, flavor="move", valid_fn=_not_mem_to_mem))
+    2, _bind_movss, _em_movss, flavor="move", valid_fn=_not_mem_to_mem))
 
 
-def _ex_mov128(state, ops):
+def _bind_mov128(ops):
     src, dst = ops
     if isinstance(dst, Mem):
-        state.mem.store16(state.addr(dst), state.xmm_lo[src.index],
-                          state.xmm_hi[src.index])
+        addr, s = addr_fn(dst), src.index
+
+        def step(state):
+            state.mem.store16(addr(state), state.xmm_lo[s], state.xmm_hi[s])
     else:
-        lo, hi = state.read128(src)
-        state.write_xmm(dst, lo, hi)
+        read, d = reader128(src), dst.index
+
+        def step(state):
+            state.xmm_lo[d], state.xmm_hi[d] = read(state)
+    return step
 
 
 def _em_mov128(ctx, ops):
@@ -729,18 +802,21 @@ for _name in ("movapd", "movaps", "movdqa", "movups", "movdqu"):
         _name,
         (slot(Kind.XMM, Kind.M128),
          slot(Kind.XMM, Kind.M128, read=False, write=True)),
-        2, _ex_mov128, _em_mov128, flavor="move", valid_fn=_not_mem_to_mem,
+        2, _bind_mov128, _em_mov128, flavor="move", valid_fn=_not_mem_to_mem,
         partial_dst=False))
 
 _register(OpcodeSpec(
     "lddqu",
     (slot(Kind.M128), slot(Kind.XMM, read=False, write=True)),
-    2, _ex_mov128, _em_mov128, flavor="move", partial_dst=False))
+    2, _bind_mov128, _em_mov128, flavor="move", partial_dst=False))
 
 
-def _ex_movddup(state, ops):
-    src = state.read64(ops[0])
-    state.write_xmm(ops[1], src, src)
+def _bind_movddup(ops):
+    read, d = reader64(ops[0]), ops[1].index
+
+    def step(state):
+        state.xmm_lo[d] = state.xmm_hi[d] = read(state)
+    return step
 
 
 def _em_movddup(ctx, ops):
@@ -758,18 +834,30 @@ def _em_movddup(ctx, ops):
 _register(OpcodeSpec(
     "movddup",
     (slot(*XMM_M64), slot(Kind.XMM, read=False, write=True)),
-    1, _ex_movddup, _em_movddup, flavor="move", partial_dst=False))
+    1, _bind_movddup, _em_movddup, flavor="move", partial_dst=False))
 
 
-def _ex_movq(state, ops):
+def _bind_movq(ops):
     src, dst = ops
-    if isinstance(dst, Xmm):
-        # movq to xmm always zeroes the upper quad.
-        state.write_xmm(dst, state.read64(src), 0)
-    elif isinstance(dst, Reg64):
-        state.write_gp64(dst, state.read64(src))
-    else:  # Mem destination
-        state.mem.store8(state.addr(dst), state.read64(src))
+    if not isinstance(dst, Xmm):
+        read, write = reader64(src), writer(dst)
+        return lambda state: write(state, read(state))
+    # movq to xmm always zeroes the upper quad.
+    d = dst.index
+    if isinstance(src, Imm):
+        # The constant loads that embed FP coefficients in kernels.
+        value = src.value & M64
+
+        def step(state):
+            state.xmm_lo[d] = value
+            state.xmm_hi[d] = 0
+    else:
+        read = reader64(src)
+
+        def step(state):
+            state.xmm_lo[d] = read(state)
+            state.xmm_hi[d] = 0
+    return step
 
 
 def _em_movq(ctx, ops):
@@ -807,16 +895,22 @@ _register(OpcodeSpec(
     "movq",
     (slot(Kind.XMM, Kind.R64, Kind.M64, Kind.IMM),
      slot(Kind.XMM, Kind.R64, Kind.M64, read=False, write=True)),
-    2, _ex_movq, _em_movq, flavor="move", valid_fn=_movq_valid,
+    2, _bind_movq, _em_movq, flavor="move", valid_fn=_movq_valid,
     partial_dst=False))
 
 
-def _ex_movd(state, ops):
+def _bind_movd(ops):
     src, dst = ops
-    if isinstance(dst, Xmm):
-        state.write_xmm(dst, state.read32(src), 0)
-    else:
-        state.write_gp32(dst, state.read32(src))
+    read = reader32(src)
+    if not isinstance(dst, Xmm):
+        write = writer(dst)
+        return lambda state: write(state, read(state))
+    d = dst.index
+
+    def step(state):
+        state.xmm_lo[d] = read(state)
+        state.xmm_hi[d] = 0
+    return step
 
 
 def _em_movd(ctx, ops):
@@ -837,20 +931,15 @@ def _movd_valid(ops):
 _register(OpcodeSpec(
     "movd",
     (slot(Kind.XMM, Kind.R32, Kind.IMM), slot(Kind.XMM, Kind.R32, read=False, write=True)),
-    2, _ex_movd, _em_movd, flavor="move", valid_fn=_movd_valid,
+    2, _bind_movd, _em_movd, flavor="move", valid_fn=_movd_valid,
     partial_dst=False))
 
 
-def _ex_mov(state, ops):
+def _bind_mov(ops):
     src, dst = ops
-    if isinstance(dst, Reg64):
-        state.write_gp64(dst, state.read64(src))
-    elif isinstance(dst, Reg32):
-        state.write_gp32(dst, state.read32(src))
-    elif dst.size == 8:
-        state.mem.store8(state.addr(dst), state.read64(src))
-    else:
-        state.mem.store4(state.addr(dst), state.read32(src))
+    wide = isinstance(dst, Reg64) or (isinstance(dst, Mem) and dst.size == 8)
+    read, write = (reader64 if wide else reader32)(src), writer(dst)
+    return lambda state: write(state, read(state))
 
 
 def _em_mov(ctx, ops):
@@ -885,11 +974,15 @@ for _movname in ("mov", "movabs"):
         _movname,
         (slot(Kind.R64, Kind.R32, Kind.IMM, Kind.M64, Kind.M32),
          slot(Kind.R64, Kind.R32, Kind.M64, Kind.M32, read=False, write=True)),
-        1, _ex_mov, _em_mov, flavor="move", valid_fn=_mov_valid))
+        1, _bind_mov, _em_mov, flavor="move", valid_fn=_mov_valid))
 
 
-def _ex_lea(state, ops):
-    state.write_gp64(ops[1], state.addr(ops[0]))
+def _bind_lea(ops):
+    addr, d = addr_fn(ops[0]), ops[1].index
+
+    def step(state):
+        state.gp[d] = addr(state)
+    return step
 
 
 def _em_lea(ctx, ops):
@@ -899,7 +992,7 @@ def _em_lea(ctx, ops):
 _register(OpcodeSpec(
     "lea",
     (slot(Kind.M64, read=False), slot(Kind.R64, read=False, write=True)),
-    1, _ex_lea, _em_lea, flavor="int"))
+    1, _bind_lea, _em_lea, flavor="int"))
 
 
 # ---------------------------------------------------------------------------
@@ -910,13 +1003,18 @@ def _gp_binop(expr64: str, expr32: str):
     fn64 = eval(f"lambda a, b: {expr64.format(a='a', b='b')}")  # noqa: S307
     fn32 = eval(f"lambda a, b: {expr32.format(a='a', b='b')}")  # noqa: S307
 
-    def ex(state, ops):
+    def bind(ops):
         src, dst = ops
+        d = dst.index
         if isinstance(dst, Reg64):
-            state.write_gp64(dst, fn64(state.gp[dst.index], state.read64(src)))
+            fn, mask, read = fn64, M64, reader64(src)
         else:
-            state.write_gp32(dst, fn32(state.gp[dst.index] & M32,
-                                       state.read32(src)))
+            fn, mask, read = fn32, M32, reader32(src)
+
+        def step(state):
+            gp = state.gp
+            gp[d] = fn(gp[d] & mask, read(state))
+        return step
 
     def em(ctx, ops):
         src, dst = ops
@@ -929,7 +1027,7 @@ def _gp_binop(expr64: str, expr32: str):
                        expr32.format(a=f"({d} & 0x{M32:x})",
                                      b=ctx.src_bits32(src)))
 
-    return ex, em
+    return bind, em
 
 
 def _gp_slots():
@@ -955,17 +1053,22 @@ for _name, _e64, _e32, _lat in [
     ("or", "{a} | {b}", "{a} | {b}", 1),
     ("xor", "{a} ^ {b}", "{a} ^ {b}", 1),
 ]:
-    _ex, _em = _gp_binop(_e64, _e32)
-    _register(OpcodeSpec(_name, _gp_slots(), _lat, _ex, _em, flavor="int",
+    _bind, _em = _gp_binop(_e64, _e32)
+    _register(OpcodeSpec(_name, _gp_slots(), _lat, _bind, _em, flavor="int",
                          valid_fn=_gp_valid))
 
 
-def _ex_not(state, ops):
-    dst = ops[0]
-    if isinstance(dst, Reg64):
-        state.write_gp64(dst, state.gp[dst.index] ^ M64)
-    else:
-        state.write_gp32(dst, (state.gp[dst.index] & M32) ^ M32)
+def _width_mask(dst) -> int:
+    return M64 if isinstance(dst, Reg64) else M32
+
+
+def _bind_not(ops):
+    d, mask = ops[0].index, _width_mask(ops[0])
+
+    def step(state):
+        gp = state.gp
+        gp[d] = (gp[d] & mask) ^ mask
+    return step
 
 
 def _em_not(ctx, ops):
@@ -976,15 +1079,16 @@ def _em_not(ctx, ops):
 
 
 _register(OpcodeSpec("not", (slot(Kind.R64, Kind.R32, write=True),),
-                     1, _ex_not, _em_not, flavor="int"))
+                     1, _bind_not, _em_not, flavor="int"))
 
 
-def _ex_neg(state, ops):
-    dst = ops[0]
-    if isinstance(dst, Reg64):
-        state.write_gp64(dst, -state.gp[dst.index])
-    else:
-        state.write_gp32(dst, -(state.gp[dst.index] & M32))
+def _bind_neg(ops):
+    d, mask = ops[0].index, _width_mask(ops[0])
+
+    def step(state):
+        gp = state.gp
+        gp[d] = -(gp[d] & mask) & mask
+    return step
 
 
 def _em_neg(ctx, ops):
@@ -995,32 +1099,31 @@ def _em_neg(ctx, ops):
 
 
 _register(OpcodeSpec("neg", (slot(Kind.R64, Kind.R32, write=True),),
-                     1, _ex_neg, _em_neg, flavor="int"))
+                     1, _bind_neg, _em_neg, flavor="int"))
 
 
 def _shift(kind: str):
-    def ex(state, ops):
+    def bind(ops):
         imm, dst = ops
-        if isinstance(dst, Reg64):
-            n = imm.value & 63
-            a = state.gp[dst.index]
-            width = 64
-        else:
-            n = imm.value & 31
-            a = state.gp[dst.index] & M32
-            width = 32
+        d, mask = dst.index, _width_mask(dst)
+        width = mask.bit_length()
+        n = imm.value & (width - 1)
         if kind == "shl":
-            res = (a << n) & ((1 << width) - 1)
+            def step(state):
+                gp = state.gp
+                gp[d] = ((gp[d] & mask) << n) & mask
         elif kind == "shr":
-            res = a >> n
-        else:  # sar
-            sign = a >> (width - 1)
-            signed = a - (1 << width) if sign else a
-            res = (signed >> n) & ((1 << width) - 1)
-        if isinstance(dst, Reg64):
-            state.write_gp64(dst, res)
-        else:
-            state.write_gp32(dst, res)
+            def step(state):
+                gp = state.gp
+                gp[d] = (gp[d] & mask) >> n
+        else:  # sar: shift the two's-complement value
+            top, wrap = width - 1, 1 << width
+
+            def step(state):
+                gp = state.gp
+                a = gp[d] & mask
+                gp[d] = ((a - wrap if a >> top else a) >> n) & mask
+        return step
 
     def em(ctx, ops):
         imm, dst = ops
@@ -1043,27 +1146,35 @@ def _shift(kind: str):
                 f" & 0x{mask:x}",
             )
 
-    return ex, em
+    return bind, em
 
 
 for _name in ("shl", "shr", "sar"):
-    _ex, _em = _shift(_name)
+    _bind, _em = _shift(_name)
     _register(OpcodeSpec(_name, (slot(Kind.IMM), slot(Kind.R64, Kind.R32, write=True)),
-                         1, _ex, _em, flavor="int"))
+                         1, _bind, _em, flavor="int"))
 
 
 # ---------------------------------------------------------------------------
 # comparisons, flags, and conditional moves
 
 
-def _ex_cmp(state, ops):
-    b_op, a_op = ops  # AT&T: cmp b, a  sets flags from a - b
-    if isinstance(a_op, Reg64):
-        flags = scalar.cmp_flags(state.gp[a_op.index], state.read64(b_op), 64)
-    else:
-        flags = scalar.cmp_flags(state.gp[a_op.index] & M32, state.read32(b_op), 32)
-    zf, cf, sf, of, pf = flags
-    state.set_flags(zf, cf, sf, of, pf)
+def _gp_flags(flags_fn):
+    """Binder for ``cmp``/``test``: ``flags_fn(a, b, width)`` -> flags."""
+
+    def bind(ops):
+        b_op, a_op = ops  # AT&T: cmp b, a  sets flags from a - b
+        a, mask = a_op.index, _width_mask(a_op)
+        width = mask.bit_length()
+        read = (reader64 if width == 64 else reader32)(b_op)
+
+        def step(state):
+            flags = state.flags
+            (flags["zf"], flags["cf"], flags["sf"], flags["of"],
+             flags["pf"]) = flags_fn(state.gp[a] & mask, read(state), width)
+        return step
+
+    return bind
 
 
 def _em_cmp(ctx, ops):
@@ -1079,17 +1190,8 @@ _register(OpcodeSpec(
     "cmp",
     (slot(Kind.R64, Kind.R32, Kind.IMM, Kind.M64, Kind.M32),
      slot(Kind.R64, Kind.R32)),
-    1, _ex_cmp, _em_cmp, flavor="cmp", valid_fn=_gp_valid, writes_flags=True))
-
-
-def _ex_test(state, ops):
-    b_op, a_op = ops
-    if isinstance(a_op, Reg64):
-        flags = scalar.test_flags(state.gp[a_op.index], state.read64(b_op), 64)
-    else:
-        flags = scalar.test_flags(state.gp[a_op.index] & M32, state.read32(b_op), 32)
-    zf, cf, sf, of, pf = flags
-    state.set_flags(zf, cf, sf, of, pf)
+    1, _gp_flags(scalar.cmp_flags), _em_cmp, flavor="cmp", valid_fn=_gp_valid,
+    writes_flags=True))
 
 
 def _em_test(ctx, ops):
@@ -1104,12 +1206,24 @@ def _em_test(ctx, ops):
 _register(OpcodeSpec(
     "test",
     (slot(Kind.R64, Kind.R32, Kind.IMM), slot(Kind.R64, Kind.R32)),
-    1, _ex_test, _em_test, flavor="cmp", valid_fn=_gp_valid, writes_flags=True))
+    1, _gp_flags(scalar.test_flags), _em_test, flavor="cmp", valid_fn=_gp_valid,
+    writes_flags=True))
 
 
-def _ex_ucomisd(state, ops):
-    zf, pf, cf = scalar.ucomi_d(state.xmm_lo[ops[1].index], state.read64(ops[0]))
-    state.set_flags(zf, cf, 0, 0, pf)
+def _ucomi(fn, reader, mask):
+    """Binder for ``ucomisd``/``ucomiss``: ZF/PF/CF, SF = OF = 0."""
+
+    def bind(ops):
+        read, a = reader(ops[0]), ops[1].index
+
+        def step(state):
+            flags = state.flags
+            zf, pf, cf = fn(state.xmm_lo[a] & mask, read(state))
+            (flags["zf"], flags["cf"], flags["sf"], flags["of"],
+             flags["pf"]) = zf, cf, 0, 0, pf
+        return step
+
+    return bind
 
 
 def _em_ucomisd(ctx, ops):
@@ -1120,14 +1234,8 @@ def _em_ucomisd(ctx, ops):
 
 
 _register(OpcodeSpec("ucomisd", (slot(*XMM_M64), slot(Kind.XMM)),
-                     2, _ex_ucomisd, _em_ucomisd, flavor="cmp",
-                     writes_flags=True))
-
-
-def _ex_ucomiss(state, ops):
-    zf, pf, cf = scalar.ucomi_f(state.xmm_lo[ops[1].index] & M32,
-                                state.read32(ops[0]))
-    state.set_flags(zf, cf, 0, 0, pf)
+                     2, _ucomi(scalar.ucomi_d, reader64, M64), _em_ucomisd,
+                     flavor="cmp", writes_flags=True))
 
 
 def _em_ucomiss(ctx, ops):
@@ -1138,8 +1246,8 @@ def _em_ucomiss(ctx, ops):
 
 
 _register(OpcodeSpec("ucomiss", (slot(*XMM_M32), slot(Kind.XMM)),
-                     2, _ex_ucomiss, _em_ucomiss, flavor="cmp",
-                     writes_flags=True))
+                     2, _ucomi(scalar.ucomi_f, reader32, M32), _em_ucomiss,
+                     flavor="cmp", writes_flags=True))
 
 
 _CONDITIONS = {
@@ -1163,16 +1271,23 @@ def _cmov(cc: str):
     cond_state, cond_jit = _CONDITIONS[cc]
     cond_fn = eval(f"lambda flags: {cond_state}")  # noqa: S307
 
-    def ex(state, ops):
+    def bind(ops):
         src, dst = ops
-        if cond_fn(state.flags):
-            if isinstance(dst, Reg64):
-                state.write_gp64(dst, state.read64(src))
-            else:
-                state.write_gp32(dst, state.read32(src))
-        elif isinstance(dst, Reg32):
-            # x86-64: a 32-bit cmov zero-extends even when not taken.
-            state.write_gp32(dst, state.gp[dst.index])
+        d = dst.index
+        if isinstance(dst, Reg64):
+            read = reader64(src)
+
+            def step(state):
+                if cond_fn(state.flags):
+                    state.gp[d] = read(state)
+        else:
+            read = reader32(src)
+
+            def step(state):
+                # x86-64: a 32-bit cmov zero-extends even when not taken.
+                gp = state.gp
+                gp[d] = read(state) if cond_fn(state.flags) else gp[d] & M32
+        return step
 
     def em(ctx, ops):
         src, dst = ops
@@ -1185,26 +1300,29 @@ def _cmov(cc: str):
                        f"{ctx.src_bits32(src)} if {cond_jit} "
                        f"else ({d} & 0x{M32:x})")
 
-    return ex, em
+    return bind, em
 
 
 for _cc in _CONDITIONS:
-    _ex, _em = _cmov(_cc)
+    _bind, _em = _cmov(_cc)
     _register(OpcodeSpec(
         f"cmov{_cc}",
         (slot(Kind.R64, Kind.R32, Kind.M64, Kind.M32),
          slot(Kind.R64, Kind.R32, write=True)),
-        1, _ex, _em, flavor="int", valid_fn=_gp_valid, reads_flags=True))
+        1, _bind, _em, flavor="int", valid_fn=_gp_valid, reads_flags=True))
 
 
 # ---------------------------------------------------------------------------
 # conversions
 
 
-def _ex_cvtsd2ss(state, ops):
-    dst = ops[1]
-    lo = state.xmm_lo[dst.index]
-    state.write_xmm_lo(dst, (lo & HI32) | scalar.cvtsd2ss(state.read64(ops[0])))
+def _bind_cvtsd2ss(ops):
+    read, d, fn = reader64(ops[0]), ops[1].index, scalar.cvtsd2ss
+
+    def step(state):
+        lo = state.xmm_lo
+        lo[d] = (lo[d] & HI32) | fn(read(state))
+    return step
 
 
 def _em_cvtsd2ss(ctx, ops):
@@ -1213,11 +1331,15 @@ def _em_cvtsd2ss(ctx, ops):
 
 
 _register(OpcodeSpec("cvtsd2ss", (slot(*XMM_M64), slot(Kind.XMM, write=True)),
-                     4, _ex_cvtsd2ss, _em_cvtsd2ss))
+                     4, _bind_cvtsd2ss, _em_cvtsd2ss))
 
 
-def _ex_cvtss2sd(state, ops):
-    state.write_xmm_lo(ops[1], scalar.cvtss2sd(state.read32(ops[0])))
+def _bind_cvtss2sd(ops):
+    read, d, fn = reader32(ops[0]), ops[1].index, scalar.cvtss2sd
+
+    def step(state):
+        state.xmm_lo[d] = fn(read(state))
+    return step
 
 
 def _em_cvtss2sd(ctx, ops):
@@ -1227,16 +1349,23 @@ def _em_cvtss2sd(ctx, ops):
 
 
 _register(OpcodeSpec("cvtss2sd", (slot(*XMM_M32), slot(Kind.XMM, write=True)),
-                     2, _ex_cvtss2sd, _em_cvtss2sd))
+                     2, _bind_cvtss2sd, _em_cvtss2sd))
 
 
-def _ex_cvttsd2si(state, ops):
-    src = state.read64(ops[0])
-    dst = ops[1]
-    if isinstance(dst, Reg64):
-        state.write_gp64(dst, scalar.cvttsd2si64(src))
-    else:
-        state.write_gp32(dst, scalar.cvttsd2si32(src))
+def _to_int(reader, fn64, fn32=None):
+    """Binder for an FP -> GP conversion ``dst = fn(src)``, with ``fn``
+    picked by the destination width; the helpers return results already
+    truncated to that width."""
+
+    def bind(ops):
+        read, d = reader(ops[0]), ops[1].index
+        fn = fn64 if isinstance(ops[1], Reg64) else fn32
+
+        def step(state):
+            state.gp[d] = fn(read(state))
+        return step
+
+    return bind
 
 
 def _em_cvttsd2si(ctx, ops):
@@ -1248,11 +1377,8 @@ def _em_cvttsd2si(ctx, ops):
 
 _register(OpcodeSpec("cvttsd2si",
                      (slot(*XMM_M64), slot(Kind.R64, Kind.R32, read=False, write=True)),
-                     4, _ex_cvttsd2si, _em_cvttsd2si))
-
-
-def _ex_cvtsd2si(state, ops):
-    state.write_gp64(ops[1], scalar.cvtsd2si64(state.read64(ops[0])))
+                     4, _to_int(reader64, scalar.cvttsd2si64, scalar.cvttsd2si32),
+                     _em_cvttsd2si))
 
 
 def _em_cvtsd2si(ctx, ops):
@@ -1261,16 +1387,11 @@ def _em_cvtsd2si(ctx, ops):
 
 _register(OpcodeSpec("cvtsd2si",
                      (slot(*XMM_M64), slot(Kind.R64, read=False, write=True)),
-                     4, _ex_cvtsd2si, _em_cvtsd2si))
+                     4, _to_int(reader64, scalar.cvtsd2si64), _em_cvtsd2si))
 
 
-def _ex_cvttss2si(state, ops):
-    src = state.read32(ops[0])
-    dst = ops[1]
-    if isinstance(dst, Reg64):
-        state.write_gp64(dst, scalar.cvttsd2si64(scalar.cvtss2sd(src)))
-    else:
-        state.write_gp32(dst, scalar.cvttss2si32(src))
+def _cvttss2si64(bits: int) -> int:
+    return scalar.cvttsd2si64(scalar.cvtss2sd(bits))
 
 
 def _em_cvttss2si(ctx, ops):
@@ -1282,16 +1403,24 @@ def _em_cvttss2si(ctx, ops):
 
 _register(OpcodeSpec("cvttss2si",
                      (slot(*XMM_M32), slot(Kind.R64, Kind.R32, read=False, write=True)),
-                     4, _ex_cvttss2si, _em_cvttss2si))
+                     4, _to_int(reader32, _cvttss2si64, scalar.cvttss2si32),
+                     _em_cvttss2si))
 
 
-def _ex_cvtsi2sd(state, ops):
-    src = ops[0]
+def _int_source(src, fn64, fn32):
+    """(reader, helper) for an integer source of either width."""
     if isinstance(src, Reg64) or (isinstance(src, Mem) and src.size == 8):
-        value = scalar.cvtsi2sd64(state.read64(src))
-    else:
-        value = scalar.cvtsi2sd32(state.read32(src))
-    state.write_xmm_lo(ops[1], value)
+        return reader64(src), fn64
+    return reader32(src), fn32
+
+
+def _bind_cvtsi2sd(ops):
+    read, fn = _int_source(ops[0], scalar.cvtsi2sd64, scalar.cvtsi2sd32)
+    d = ops[1].index
+
+    def step(state):
+        state.xmm_lo[d] = fn(read(state))
+    return step
 
 
 def _em_cvtsi2sd(ctx, ops):
@@ -1308,18 +1437,18 @@ _register(OpcodeSpec(
     # Memory sources are 64-bit only: AT&T text cannot distinguish the
     # 32/64-bit memory forms without a size suffix.
     (slot(Kind.R64, Kind.R32, Kind.M64), slot(Kind.XMM, write=True)),
-    4, _ex_cvtsi2sd, _em_cvtsi2sd))
+    4, _bind_cvtsi2sd, _em_cvtsi2sd))
 
 
-def _ex_cvtsi2ss(state, ops):
-    src = ops[0]
-    dst = ops[1]
-    if isinstance(src, Reg64) or (isinstance(src, Mem) and src.size == 8):
-        value = scalar.cvtsi2ss64(state.read64(src))
-    else:
-        value = scalar.cvtsi2ss32(state.read32(src))
-    lo = state.xmm_lo[dst.index]
-    state.write_xmm_lo(dst, (lo & HI32) | value)
+def _bind_cvtsi2ss(ops):
+    read, fn = _int_source(ops[0], scalar.cvtsi2ss64, scalar.cvtsi2ss32)
+    d = ops[1].index
+
+    def step(state):
+        value = fn(read(state))
+        lo = state.xmm_lo
+        lo[d] = (lo[d] & HI32) | value
+    return step
 
 
 def _em_cvtsi2ss(ctx, ops):
@@ -1335,19 +1464,18 @@ def _em_cvtsi2ss(ctx, ops):
 _register(OpcodeSpec(
     "cvtsi2ss",
     (slot(Kind.R64, Kind.R32, Kind.M64), slot(Kind.XMM, write=True)),
-    4, _ex_cvtsi2ss, _em_cvtsi2ss))
+    4, _bind_cvtsi2ss, _em_cvtsi2ss))
 
 
-def _ex_cvtps2pd(state, ops):
+def _bind_cvtps2pd(ops):
     # Widen the two low singles of src into two doubles.
-    if isinstance(ops[0], Mem):
-        addr = state.addr(ops[0])
-        lanes = state.mem.load8(addr)
-    else:
-        lanes = state.xmm_lo[ops[0].index]
-    lo = scalar.cvtss2sd(lanes & M32)
-    hi = scalar.cvtss2sd((lanes >> 32) & M32)
-    state.write_xmm(ops[1], lo, hi)
+    read, d, fn = reader64(ops[0]), ops[1].index, scalar.cvtss2sd
+
+    def step(state):
+        lanes = read(state)
+        state.xmm_lo[d] = fn(lanes & M32)
+        state.xmm_hi[d] = fn((lanes >> 32) & M32)
+    return step
 
 
 def _em_cvtps2pd(ctx, ops):
@@ -1371,14 +1499,18 @@ def _em_cvtps2pd(ctx, ops):
 
 _register(OpcodeSpec(
     "cvtps2pd", (slot(*XMM_M64), slot(Kind.XMM, read=False, write=True)),
-    2, _ex_cvtps2pd, _em_cvtps2pd, partial_dst=False))
+    2, _bind_cvtps2pd, _em_cvtps2pd, partial_dst=False))
 
 
-def _ex_cvtpd2ps(state, ops):
+def _bind_cvtpd2ps(ops):
     # Narrow both doubles of src into the two low singles; upper zeroed.
-    slo, shi = state.read128(ops[0])
-    lanes = scalar.cvtsd2ss(slo) | (scalar.cvtsd2ss(shi) << 32)
-    state.write_xmm(ops[1], lanes, 0)
+    read, d, fn = reader128(ops[0]), ops[1].index, scalar.cvtsd2ss
+
+    def step(state):
+        slo, shi = read(state)
+        state.xmm_lo[d] = fn(slo) | (fn(shi) << 32)
+        state.xmm_hi[d] = 0
+    return step
 
 
 def _em_cvtpd2ps(ctx, ops):
@@ -1401,13 +1533,16 @@ def _em_cvtpd2ps(ctx, ops):
 
 _register(OpcodeSpec(
     "cvtpd2ps", (slot(*XMM_M128), slot(Kind.XMM, read=False, write=True)),
-    4, _ex_cvtpd2ps, _em_cvtpd2ps, partial_dst=False))
+    4, _bind_cvtpd2ps, _em_cvtpd2ps, partial_dst=False))
 
 
-def _ex_roundsd(state, ops):
-    imm = ops[0].value & 3
-    src = scalar.u2d(state.read64(ops[1]))
-    state.write_xmm_lo(ops[2], scalar.d2u_c(scalar.roundsd_f(src, imm)))
+def _bind_roundsd(ops):
+    mode, read, d = ops[0].value & 3, reader64(ops[1]), ops[2].index
+    u2d, d2u_c, roundsd_f = scalar.u2d, scalar.d2u_c, scalar.roundsd_f
+
+    def step(state):
+        state.xmm_lo[d] = d2u_c(roundsd_f(u2d(read(state)), mode))
+    return step
 
 
 def _em_roundsd(ctx, ops):
@@ -1419,17 +1554,19 @@ def _em_roundsd(ctx, ops):
 _register(OpcodeSpec(
     "roundsd",
     (slot(Kind.IMM), slot(*XMM_M64), slot(Kind.XMM, write=True)),
-    6, _ex_roundsd, _em_roundsd))
+    6, _bind_roundsd, _em_roundsd))
 
 
-def _ex_shufpd(state, ops):
-    imm = ops[0].value
-    slo, shi = state.read128(ops[1])
-    dst = ops[2]
-    dlo, dhi = state.xmm_lo[dst.index], state.xmm_hi[dst.index]
-    new_lo = dhi if imm & 1 else dlo
-    new_hi = shi if imm & 2 else slo
-    state.write_xmm(dst, new_lo, new_hi)
+def _bind_shufpd(ops):
+    imm, read, d = ops[0].value, reader128(ops[1]), ops[2].index
+    # dst.lo <- dst[lo_from]; dst.hi <- src[hi_from] (0 = lo, 1 = hi).
+    lo_from, hi_from = imm & 1, (imm >> 1) & 1
+
+    def step(state):
+        src = read(state)
+        lo, hi = state.xmm_lo, state.xmm_hi
+        lo[d], hi[d] = (lo[d], hi[d])[lo_from], src[hi_from]
+    return step
 
 
 def _em_shufpd(ctx, ops):
@@ -1447,18 +1584,18 @@ def _em_shufpd(ctx, ops):
 _register(OpcodeSpec(
     "shufpd",
     (slot(Kind.IMM), slot(*XMM_M128), slot(Kind.XMM, write=True)),
-    1, _ex_shufpd, _em_shufpd, partial_dst=False))
+    1, _bind_shufpd, _em_shufpd, partial_dst=False))
 
 
-def _ex_haddpd(state, ops):
+def _bind_haddpd(ops):
     # dst = [dst.lo + dst.hi, src.lo + src.hi]
-    slo, shi = state.read128(ops[0])
-    dst = ops[1]
-    state.write_xmm(
-        dst,
-        scalar.add_d(state.xmm_lo[dst.index], state.xmm_hi[dst.index]),
-        scalar.add_d(slo, shi),
-    )
+    read, d, add = reader128(ops[0]), ops[1].index, scalar.add_d
+
+    def step(state):
+        slo, shi = read(state)
+        lo, hi = state.xmm_lo, state.xmm_hi
+        lo[d], hi[d] = add(lo[d], hi[d]), add(slo, shi)
+    return step
 
 
 def _em_haddpd(ctx, ops):
@@ -1473,21 +1610,23 @@ def _em_haddpd(ctx, ops):
 
 _register(OpcodeSpec(
     "haddpd", (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-    5, _ex_haddpd, _em_haddpd, partial_dst=False))
+    5, _bind_haddpd, _em_haddpd, partial_dst=False))
 
 
-def _ex_haddps(state, ops):
+def _pair_sum(quad: int) -> int:
+    return scalar.add_f(quad & M32, (quad >> 32) & M32)
+
+
+def _bind_haddps(ops):
     # dst lanes = [d0+d1, d2+d3, s0+s1, s2+s3]
-    slo, shi = state.read128(ops[0])
-    dst = ops[1]
-    dlo, dhi = state.xmm_lo[dst.index], state.xmm_hi[dst.index]
+    read, d = reader128(ops[0]), ops[1].index
 
-    def pair_sum(quad):
-        return scalar.add_f(quad & M32, (quad >> 32) & M32)
-
-    new_lo = pair_sum(dlo) | (pair_sum(dhi) << 32)
-    new_hi = pair_sum(slo) | (pair_sum(shi) << 32)
-    state.write_xmm(dst, new_lo, new_hi)
+    def step(state):
+        slo, shi = read(state)
+        lo, hi = state.xmm_lo, state.xmm_hi
+        lo[d], hi[d] = (_pair_sum(lo[d]) | (_pair_sum(hi[d]) << 32),
+                        _pair_sum(slo) | (_pair_sum(shi) << 32))
+    return step
 
 
 def _em_haddps(ctx, ops):
@@ -1505,7 +1644,7 @@ def _em_haddps(ctx, ops):
 
 _register(OpcodeSpec(
     "haddps", (slot(*XMM_M128), slot(Kind.XMM, write=True)),
-    5, _ex_haddps, _em_haddps, partial_dst=False))
+    5, _bind_haddps, _em_haddps, partial_dst=False))
 
 
 # SSE compare predicates (CMPSD/CMPPD imm8): mask of all-ones on true.
@@ -1521,17 +1660,23 @@ _CMP_PREDICATES = {
 }
 
 
-def _ex_cmpsd(state, ops):
+def _bind_cmpsd(ops):
     pred = _CMP_PREDICATES[ops[0].value & 7]
-    src = scalar.u2d(state.read64(ops[1]))
-    dst = ops[2]
-    a = scalar.u2d(state.xmm_lo[dst.index])
-    state.write_xmm_lo(dst, M64 if pred(a, src) else 0)
+    read, d, u2d = reader64(ops[1]), ops[2].index, scalar.u2d
+
+    def step(state):
+        src = u2d(read(state))
+        lo = state.xmm_lo
+        lo[d] = M64 if pred(u2d(lo[d]), src) else 0
+    return step
 
 
 def _em_cmpsd(ctx, ops):
     pred = ops[0].value & 7
-    s = ctx.src_f64(ops[1])
+    # Evaluated up front: the unord/ord predicates short-circuit, and a
+    # memory source must be loaded (and fault) whatever the destination.
+    s = ctx.temp()
+    ctx.emit(f"{s} = {ctx.src_f64(ops[1])}")
     d = ctx.f64(ops[2].index)
     exprs = {
         0: f"{d} == {s}",
@@ -1550,13 +1695,16 @@ def _em_cmpsd(ctx, ops):
 _register(OpcodeSpec(
     "cmpsd",
     (slot(Kind.IMM), slot(*XMM_M64), slot(Kind.XMM, write=True)),
-    3, _ex_cmpsd, _em_cmpsd))
+    3, _bind_cmpsd, _em_cmpsd))
 
 
-def _ex_movlhps(state, ops):
+def _bind_movlhps(ops):
     # dst.hi = src.lo; dst.lo unchanged.
-    src, dst = ops
-    state.write_xmm(dst, state.xmm_lo[dst.index], state.xmm_lo[src.index])
+    s, d = ops[0].index, ops[1].index
+
+    def step(state):
+        state.xmm_hi[d] = state.xmm_lo[s]
+    return step
 
 
 def _em_movlhps(ctx, ops):
@@ -1566,13 +1714,16 @@ def _em_movlhps(ctx, ops):
 
 _register(OpcodeSpec(
     "movlhps", (slot(Kind.XMM), slot(Kind.XMM, write=True)),
-    1, _ex_movlhps, _em_movlhps, flavor="move"))
+    1, _bind_movlhps, _em_movlhps, flavor="move"))
 
 
-def _ex_movhlps(state, ops):
+def _bind_movhlps(ops):
     # dst.lo = src.hi; dst.hi unchanged.
-    src, dst = ops
-    state.write_xmm(dst, state.xmm_hi[src.index], state.xmm_hi[dst.index])
+    s, d = ops[0].index, ops[1].index
+
+    def step(state):
+        state.xmm_lo[d] = state.xmm_hi[s]
+    return step
 
 
 def _em_movhlps(ctx, ops):
@@ -1582,22 +1733,26 @@ def _em_movhlps(ctx, ops):
 
 _register(OpcodeSpec(
     "movhlps", (slot(Kind.XMM), slot(Kind.XMM, write=True)),
-    1, _ex_movhlps, _em_movhlps, flavor="move"))
+    1, _bind_movhlps, _em_movhlps, flavor="move"))
 
 
 # ---------------------------------------------------------------------------
 # nop (the UNUSED token)
 
 
-def _ex_nop(state, ops):
+def _nop_step(state):
     pass
+
+
+def _bind_nop(ops):
+    return _nop_step
 
 
 def _em_nop(ctx, ops):
     pass
 
 
-_register(OpcodeSpec("nop", (), 0, _ex_nop, _em_nop, flavor="nop",
+_register(OpcodeSpec("nop", (), 0, _bind_nop, _em_nop, flavor="nop",
                      partial_dst=False))
 
 

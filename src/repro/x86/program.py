@@ -16,11 +16,12 @@ from repro.x86.instruction import UNUSED, Instruction
 class Program:
     """An immutable sequence of instruction slots."""
 
-    __slots__ = ("slots", "_hash")
+    __slots__ = ("slots", "_hash", "_steps")
 
     def __init__(self, slots: Iterable[Instruction]):
         self.slots: Tuple[Instruction, ...] = tuple(slots)
         self._hash = None
+        self._steps = None
 
     @classmethod
     def from_instructions(cls, instructions: Sequence[Instruction],
@@ -40,6 +41,15 @@ class Program:
     def loc(self) -> int:
         """Lines of code: the number of non-UNUSED slots."""
         return sum(1 for i in self.slots if not i.is_unused)
+
+    @property
+    def steps(self) -> tuple:
+        """The bound emulator steps of the non-UNUSED slots, in order."""
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = tuple(
+                i.step for i in self.slots if not i.is_unused)
+        return steps
 
     @property
     def latency(self) -> int:
@@ -90,6 +100,15 @@ class Program:
         if self._hash is None:
             self._hash = hash(self.slots)
         return self._hash
+
+    def __getstate__(self):
+        # Only the slots travel: the step tuple holds closures, which do
+        # not pickle, and a hash is only valid in the process that took
+        # it.  (Wrapped so an empty program's state is still truthy.)
+        return (self.slots,)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state[0])
 
     def __repr__(self) -> str:
         return f"Program({self.loc} LOC / {len(self.slots)} slots)"

@@ -32,6 +32,13 @@ _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
 _PACK_F = struct.Struct("<f")
 _PACK_I = struct.Struct("<I")
+# Bound once: the double-precision helpers below are the emulator's hot
+# path, and the conversions are most of their cost.  The two-operand
+# forms reinterpret both arguments in one struct round trip.
+_pack_d, _unpack_d = _PACK_D.pack, _PACK_D.unpack
+_pack_q, _unpack_q = _PACK_Q.pack, _PACK_Q.unpack
+_pack_qq = struct.Struct("<QQ").pack
+_unpack_dd = struct.Struct("<dd").unpack
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK32 = 0xFFFFFFFF
@@ -46,7 +53,7 @@ _HAS_FMA = hasattr(math, "fma")
 
 def u2d(bits: int) -> float:
     """Reinterpret a 64-bit pattern as a double."""
-    return _PACK_D.unpack(_PACK_Q.pack(bits & MASK64))[0]
+    return _unpack_d(_pack_q(bits & MASK64))[0]
 
 
 def d2u_c(value: float) -> int:
@@ -60,12 +67,12 @@ def d2u_c(value: float) -> int:
     """
     if value != value:
         return _NAN_BITS
-    return _PACK_Q.unpack(_PACK_D.pack(value))[0]
+    return _unpack_q(_pack_d(value))[0]
 
 
 def d2u(value: float) -> int:
     """Reinterpret a double as a 64-bit pattern."""
-    return _PACK_Q.unpack(_PACK_D.pack(value))[0]
+    return _unpack_q(_pack_d(value))[0]
 
 
 def u2f(bits: int) -> float:
@@ -110,15 +117,21 @@ def f2u(value: float) -> int:
 
 
 def add_d(a: int, b: int) -> int:
-    return d2u_c(u2d(a) + u2d(b))
+    x, y = _unpack_dd(_pack_qq(a & MASK64, b & MASK64))
+    r = x + y
+    return _NAN_BITS if r != r else _unpack_q(_pack_d(r))[0]
 
 
 def sub_d(a: int, b: int) -> int:
-    return d2u_c(u2d(a) - u2d(b))
+    x, y = _unpack_dd(_pack_qq(a & MASK64, b & MASK64))
+    r = x - y
+    return _NAN_BITS if r != r else _unpack_q(_pack_d(r))[0]
 
 
 def mul_d(a: int, b: int) -> int:
-    return d2u_c(u2d(a) * u2d(b))
+    x, y = _unpack_dd(_pack_qq(a & MASK64, b & MASK64))
+    r = x * y
+    return _NAN_BITS if r != r else _unpack_q(_pack_d(r))[0]
 
 
 def div_d(a: int, b: int) -> int:

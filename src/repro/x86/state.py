@@ -8,7 +8,7 @@ low/high pair of 64-bit unsigned ints), the five status flags the subset's
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.x86.memory import Memory
 from repro.x86.operands import Imm, Mem, Operand, Reg32, Reg64, Xmm
@@ -77,64 +77,106 @@ class MachineState:
         if mem:
             self.mem.restore_writable(mem_snapshot)
 
-    # ------------------------------------------------------------------
-    # operand helpers used by the emulator backend
 
-    def addr(self, op: Mem) -> int:
-        """Effective address of a memory operand."""
-        base = self.gp[op.base]
-        index = self.gp[op.index] * op.scale if op.index is not None else 0
-        return (base + index + op.disp) & MASK64
+# ---------------------------------------------------------------------------
+# bind-time operand accessors
+#
+# The emulator binds each instruction once into a step (see
+# :mod:`repro.x86.opcodes`).  These factories resolve an operand's kind,
+# register index, immediate or addressing form at bind time and return a
+# closure over those values alone: the closure reads the state it is
+# given at call time, so one bound step serves every test state (and the
+# vector backend's lane fallback, which swaps ``state.mem`` per lane).
 
-    def read64(self, op: Operand) -> int:
-        """Read a 64-bit source value (xmm low quad for XMM operands)."""
-        if isinstance(op, Xmm):
-            return self.xmm_lo[op.index]
-        if isinstance(op, Reg64):
-            return self.gp[op.index]
-        if isinstance(op, Imm):
-            return op.value & MASK64
-        if isinstance(op, Mem):
-            return self.mem.load8(self.addr(op))
-        raise TypeError(f"cannot read 64 bits from {op!r}")
+Reader = Callable[[MachineState], int]
 
-    def read32(self, op: Operand) -> int:
-        """Read a 32-bit source value (xmm low dword for XMM operands)."""
-        if isinstance(op, Xmm):
-            return self.xmm_lo[op.index] & MASK32
-        if isinstance(op, (Reg32, Reg64)):
-            return self.gp[op.index] & MASK32
-        if isinstance(op, Imm):
-            return op.value & MASK32
-        if isinstance(op, Mem):
-            return self.mem.load4(self.addr(op))
-        raise TypeError(f"cannot read 32 bits from {op!r}")
 
-    def read128(self, op: Operand) -> tuple:
-        """Read a 128-bit source as a (lo, hi) pair."""
-        if isinstance(op, Xmm):
-            return self.xmm_lo[op.index], self.xmm_hi[op.index]
-        if isinstance(op, Mem):
-            return self.mem.load16(self.addr(op))
-        raise TypeError(f"cannot read 128 bits from {op!r}")
+def addr_fn(op: Mem) -> Reader:
+    """Effective address of a memory operand."""
+    base, disp = op.base, op.disp
+    if op.index is None:
+        def addr(state):
+            return (state.gp[base] + disp) & MASK64
+    else:
+        index, scale = op.index, op.scale
 
-    def write_gp64(self, op: Reg64, value: int) -> None:
-        self.gp[op.index] = value & MASK64
+        def addr(state):
+            gp = state.gp
+            return (gp[base] + gp[index] * scale + disp) & MASK64
+    return addr
 
-    def write_gp32(self, op: Reg32, value: int) -> None:
-        # 32-bit writes zero-extend into the full register (x86-64 rule).
-        self.gp[op.index] = value & MASK32
 
-    def write_xmm_lo(self, op: Xmm, value: int) -> None:
-        """Write the low quad, preserving the high quad (SSE scalar rule)."""
-        self.xmm_lo[op.index] = value & MASK64
+def reader64(op: Operand) -> Reader:
+    """Read a 64-bit source value (xmm low quad for XMM operands)."""
+    if isinstance(op, Xmm):
+        i = op.index
+        return lambda state: state.xmm_lo[i]
+    if isinstance(op, Reg64):
+        i = op.index
+        return lambda state: state.gp[i]
+    if isinstance(op, Imm):
+        value = op.value & MASK64
+        return lambda state: value
+    if isinstance(op, Mem):
+        addr = addr_fn(op)
+        return lambda state: state.mem.load8(addr(state))
+    raise TypeError(f"cannot read 64 bits from {op!r}")
 
-    def write_xmm(self, op: Xmm, lo: int, hi: int) -> None:
-        self.xmm_lo[op.index] = lo & MASK64
-        self.xmm_hi[op.index] = hi & MASK64
 
-    def set_flags(self, zf: int, cf: int, sf: int, of: int, pf: int) -> None:
-        flags = self.flags
-        flags["zf"], flags["cf"], flags["sf"], flags["of"], flags["pf"] = (
-            zf, cf, sf, of, pf,
-        )
+def reader32(op: Operand) -> Reader:
+    """Read a 32-bit source value (xmm low dword for XMM operands)."""
+    if isinstance(op, Xmm):
+        i = op.index
+        return lambda state: state.xmm_lo[i] & MASK32
+    if isinstance(op, (Reg32, Reg64)):
+        i = op.index
+        return lambda state: state.gp[i] & MASK32
+    if isinstance(op, Imm):
+        value = op.value & MASK32
+        return lambda state: value
+    if isinstance(op, Mem):
+        addr = addr_fn(op)
+        return lambda state: state.mem.load4(addr(state))
+    raise TypeError(f"cannot read 32 bits from {op!r}")
+
+
+def reader128(op: Operand) -> Callable[[MachineState], tuple]:
+    """Read a 128-bit source as a (lo, hi) pair."""
+    if isinstance(op, Xmm):
+        i = op.index
+        return lambda state: (state.xmm_lo[i], state.xmm_hi[i])
+    if isinstance(op, Mem):
+        addr = addr_fn(op)
+        return lambda state: state.mem.load16(addr(state))
+    raise TypeError(f"cannot read 128 bits from {op!r}")
+
+
+def writer(op: Operand) -> Callable[[MachineState, int], None]:
+    """Write a GP register or memory destination.
+
+    32-bit register writes zero-extend into the full register (the
+    x86-64 rule); memory stores are as wide as the operand.
+    """
+    if isinstance(op, Reg64):
+        i = op.index
+
+        def write(state, value):
+            state.gp[i] = value & MASK64
+    elif isinstance(op, Reg32):
+        i = op.index
+
+        def write(state, value):
+            state.gp[i] = value & MASK32
+    elif isinstance(op, Mem) and op.size == 8:
+        addr = addr_fn(op)
+
+        def write(state, value):
+            state.mem.store8(addr(state), value)
+    elif isinstance(op, Mem) and op.size == 4:
+        addr = addr_fn(op)
+
+        def write(state, value):
+            state.mem.store4(addr(state), value)
+    else:
+        raise TypeError(f"cannot write an integer to {op!r}")
+    return write

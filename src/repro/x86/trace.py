@@ -77,7 +77,7 @@ def trace_program(program: Program, state: MachineState) -> Trace:
             continue
         step = TraceStep(index=index, text=str(instr))
         try:
-            instr.spec.exec_fn(state, instr.operands)
+            instr.step(state)
         except SignalError as exc:
             step.signal = exc.signal
             trace.steps.append(step)

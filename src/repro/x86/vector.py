@@ -13,7 +13,7 @@ role of the vector ISA here.
 
 Bit-exactness contract (checked by the differential suites in
 ``tests/core/test_batch_runner.py``): every instruction must produce the
-same output bits as the emulator's ``exec_fn`` and the JIT's generated
+same output bits as the emulator's bound steps and the JIT's generated
 code, including NaN-payload canonicalization (:mod:`repro.x86.scalar`'s
 policy), signed zeros, denormals, and conversion saturation sentinels.
 numpy float64/float32 arithmetic is IEEE-754 on the same hardware the
@@ -38,8 +38,9 @@ all-clear flag vectors and never writes ``state.flags`` back (flags are
 never live-out in this system).
 
 Instructions with no vectorized form — memory operands, shuffles, FMA,
-packed singles — fall back to the emulator's ``exec_fn`` on a scratch
-scalar state, lane by lane.  Correctness never depends on which path an
+packed singles — fall back to the emulator's bound step
+(:attr:`~repro.x86.instruction.Instruction.step`) on a scratch scalar
+state, lane by lane.  Correctness never depends on which path an
 instruction takes; the curated vector set just has to cover the hot
 kernels (it covers every register/immediate form the libimf kernels use).
 """
@@ -1068,15 +1069,14 @@ def _build_nop(_ops):
 
 def _lane_fallback(instr: Instruction):
     """Execute one instruction lane-by-lane through the emulator's
-    ``exec_fn`` on a scratch scalar state.
+    bound step on a scratch scalar state.
 
     This is the completeness path: memory operands (the only runtime
     fault source), shuffles, FMA, packed singles — anything without a
     vector form.  Inactive (faulted) lanes are skipped; a lane that
     signals here is frozen for the rest of the execution.
     """
-    exec_fn = instr.spec.exec_fn
-    operands = instr.operands
+    step = instr.step
     reads_flags = instr.spec.reads_flags
     writes_flags = instr.spec.writes_flags
 
@@ -1100,7 +1100,7 @@ def _lane_fallback(instr: Instruction):
                 flags["pf"] = int(ctx.pf[j])
             scratch.mem = mems[j]
             try:
-                exec_fn(scratch, operands)
+                step(scratch)
             except SignalError as exc:
                 ctx.fault(j, exc.signal)
                 continue

@@ -132,6 +132,24 @@ class TestDeterminism:
         assert [_chain_fingerprint(c) for c in serial.chains] == \
             [_chain_fingerprint(c) for c in parallel.chains]
 
+    def test_run_restarts_after_parent_executed_programs(self, tiny_target):
+        # The parent runs the target (and a search) on the emulator
+        # before fanning out, so the programs it ships to the workers
+        # carry cached bound steps, which must not travel.
+        def mk():
+            return Stoke(tiny_target, _tests(), ["xmm0"],
+                         CostConfig(eta=0.0, k=1.0))
+
+        config = SearchConfig(proposals=300, seed=2)
+        stoke = mk()
+        stoke.search(config)
+        assert stoke.target._steps is not None  # cached by the runs above
+        parallel = run_restarts(stoke, config, chains=2, jobs=2)
+        serial = run_restarts(mk(), config, chains=2, jobs=1)
+        assert parallel.jobs == 2
+        assert [_chain_fingerprint(c) for c in parallel.chains] == \
+            [_chain_fingerprint(c) for c in serial.chains]
+
     def test_results_in_seed_order(self, tiny_target):
         spec = _spec(tiny_target)
         results = run_seeded_chains(spec, SearchConfig(proposals=150, seed=9),

@@ -19,6 +19,7 @@ import pytest
 
 from repro.x86.assembler import assemble
 from repro.x86.memory import Memory
+from repro.x86.program import Program
 from repro.x86.testcase import TestCase
 
 from repro.kernels.aek import vector as V
@@ -214,6 +215,23 @@ class TestAllKernelsCertify:
                                V.delta_rewrite(), memory=memory,
                                concrete_gp=V.CONCRETE_GP_INDICES)
         assert report.ok, report.failures
+
+
+class TestUnsupportedForms:
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize("domain", ["separate", "relational"])
+    def test_movd_from_widened_register_is_unsupported(self, domain, engine):
+        # cvttsd2si leaves rax holding an IntInterval; movd from it must be
+        # declared unsupported (a +inf, incomplete bound), not crash.
+        spec = LIBIMF_KERNELS["exp"]()
+        tail = assemble("cvttsd2si %xmm0, %rax\nmovd %eax, %xmm3\n")
+        rewrite = Program(spec.program.code + tail.code)
+        verifier = BnBVerifier(spec.program, rewrite, spec.live_outs,
+                               dict(spec.ranges), domain=domain)
+        result = verifier.run(BnBConfig(max_boxes=16, engine=engine))
+        assert result.unsupported > 0
+        assert not result.complete
+        assert math.isinf(result.bound_ulps)
 
 
 class TestTermination:

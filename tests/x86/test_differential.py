@@ -1,8 +1,11 @@
 """Differential testing: the emulator and the JIT must agree bit-for-bit.
 
-This is the load-bearing correctness property of the whole system — the
-cost function, validation, and all three applications run through the JIT,
-while the emulator is the simple reference semantics.
+This is the load-bearing correctness property of the whole system: the
+search's cost function runs every proposal on the emulator's bound steps,
+while validation and the fixed-program consumers run the same programs
+through the JIT, so a rewrite certified by one must behave identically
+on the other.  ``test_bound_steps.py`` covers each opcode's every operand
+shape; this file covers random whole programs.
 
 The contract covers *every* 64-bit input pattern, including signaling-NaN
 payloads: the scalar helpers widen/narrow NaNs by hand rather than via C

@@ -1,14 +1,19 @@
 """Tests for Program, Instruction, operands, and the UNUSED token."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.x86.assembler import assemble
+from repro.x86.emulator import Emulator
 from repro.x86.instruction import UNUSED, Instruction
 from repro.x86.opcodes import MEM_EXTRA_LATENCY, OPCODES
 from repro.x86.operands import Imm, Kind, Mem, Reg32, Reg64, Xmm
 from repro.x86.program import Program
+from repro.x86.scalar import d2u
+from repro.x86.state import MachineState
 
 from tests.conftest import random_program
 
@@ -108,6 +113,28 @@ class TestProgram:
     def test_latency_sum(self):
         program = assemble("addsd xmm1, xmm0\nmulsd xmm2, xmm0")
         assert program.latency == sum(i.latency for i in program.code)
+
+    def test_pickle_round_trip_after_execution(self):
+        program = assemble("movq $2.0d, xmm1\nmulsd xmm1, xmm0",
+                           total_slots=4)
+        first = MachineState()
+        first.xmm_lo[0] = d2u(1.5)
+        Emulator().run(program, first)  # binds and caches every step
+        again = pickle.loads(pickle.dumps(program))
+        assert again == program
+        assert hash(again) == hash(program)
+        for instr in program.slots:
+            assert pickle.loads(pickle.dumps(instr)) == instr
+        second = MachineState()
+        second.xmm_lo[0] = d2u(1.5)
+        Emulator().run(again, second)
+        assert second.xmm_lo == first.xmm_lo == \
+            [d2u(3.0), d2u(2.0)] + [0] * 14
+
+    def test_empty_program_pickles(self):
+        again = pickle.loads(pickle.dumps(Program([])))
+        assert again == Program([])
+        assert again.steps == ()
 
     @given(st.integers(0, 10**6), st.integers(1, 10))
     def test_random_programs_roundtrip_text(self, seed, length):

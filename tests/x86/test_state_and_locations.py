@@ -9,7 +9,8 @@ from repro.fp.ieee754 import bits_to_double, double_to_bits
 from repro.x86.locations import Loc, MemLoc, parse_loc
 from repro.x86.memory import Memory, Segment
 from repro.x86.operands import Mem, Reg32, Reg64, Xmm
-from repro.x86.state import MachineState
+from repro.x86.instruction import Instruction
+from repro.x86.state import MachineState, addr_fn, reader64, writer
 from repro.x86.testcase import TestCase, decode_from, encode_for, uniform_testcases
 
 
@@ -17,26 +18,28 @@ class TestMachineState:
     def test_gp32_write_zero_extends(self):
         state = MachineState()
         state.gp[0] = 0xFFFFFFFFFFFFFFFF
-        state.write_gp32(Reg32(0), 0x1234)
+        writer(Reg32(0))(state, 0x1234)
         assert state.gp[0] == 0x1234
 
     def test_xmm_lo_write_preserves_high(self):
         state = MachineState()
+        state.xmm_lo[1] = 5
         state.xmm_hi[2] = 99
-        state.write_xmm_lo(Xmm(2), 5)
+        Instruction("movsd", (Xmm(1), Xmm(2))).step(state)
+        assert state.xmm_lo[2] == 5
         assert state.xmm_hi[2] == 99
 
     def test_effective_address(self):
         state = MachineState()
         state.gp[1] = 0x1000
         state.gp[0] = 4
-        assert state.addr(Mem(8, 1, 16, index=0, scale=8)) == 0x1030
+        assert addr_fn(Mem(8, 1, 16, index=0, scale=8))(state) == 0x1030
 
     def test_read64_from_imm_masks(self):
         from repro.x86.operands import Imm
 
         state = MachineState()
-        assert state.read64(Imm(-1)) == 0xFFFFFFFFFFFFFFFF
+        assert reader64(Imm(-1))(state) == 0xFFFFFFFFFFFFFFFF
 
     def test_copy_isolates(self):
         state = MachineState(Memory([Segment("s", 0, bytes(8))]))
