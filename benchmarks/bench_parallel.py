@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.core import CostConfig, SearchConfig, StokeSpec
-from repro.core.parallel import run_seeded_chains
+from repro.core.parallel import chain_configs, run_chains
 from repro.kernels.libimf import LIBIMF_KERNELS
 
 from _util import TESTCASES, one_shot
@@ -45,7 +45,7 @@ def _measure(jobs, chains=CHAINS, proposals=PROPOSALS, seed=0):
     spec = _spec(seed=seed)
     config = SearchConfig(proposals=proposals, seed=seed)
     start = time.perf_counter()
-    results = run_seeded_chains(spec, config, chains=chains, jobs=jobs)
+    results = run_chains(spec, chain_configs(config, chains), jobs=jobs)
     return time.perf_counter() - start, results
 
 
@@ -53,8 +53,8 @@ def _measure(jobs, chains=CHAINS, proposals=PROPOSALS, seed=0):
 def test_chain_scaling(benchmark, jobs):
     spec = _spec()
     config = SearchConfig(proposals=PROPOSALS, seed=0)
-    results = one_shot(benchmark, run_seeded_chains, spec, config,
-                       chains=CHAINS, jobs=jobs)
+    results = one_shot(benchmark, run_chains, spec,
+                       chain_configs(config, CHAINS), jobs=jobs)
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["chains"] = CHAINS
     benchmark.extra_info["proposals_per_chain"] = PROPOSALS

@@ -2,8 +2,7 @@
 
 Tracks the verifier the way BENCH_vector.json tracks dispatch
 throughput: for each kernel, the certified bound at box budgets
-64/256/1024/4096 (serial and with a worker pool), checked against two
-obligations —
+64/256/1024/4096, checked against two obligations —
 
 * **Dominance**: a Geweke-convergence-checked MCMC validation run's max
   observed error (a true lower bound on the sup error) never exceeds
@@ -28,7 +27,6 @@ import sys
 
 import pytest
 
-from repro.core.parallel import default_jobs
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.validation import ValidationConfig, Validator
 from repro.verify import checker
@@ -58,8 +56,7 @@ def _validate(spec, rewrite, proposals=SEED_PROPOSALS):
         max_proposals=proposals, seed=0))
 
 
-def measure_kernel(name, budgets=BUDGETS, jobs_list=(1, 0),
-                   seed_proposals=SEED_PROPOSALS):
+def measure_kernel(name, budgets=BUDGETS, seed_proposals=SEED_PROPOSALS):
     """Bound-vs-budget curve for one kernel, with dominance and
     certificate checks folded in.  Raises AssertionError on violation."""
     spec, rewrite = _setup(name)
@@ -68,51 +65,46 @@ def measure_kernel(name, budgets=BUDGETS, jobs_list=(1, 0),
                            dict(spec.ranges))
     seeds = seeds_from_validation(validation, verifier.dims)
 
-    curves = []
+    series = []
     cert_info = None
-    for jobs in jobs_list:
-        resolved = jobs if jobs else default_jobs()
-        series = []
-        for budget in budgets:
-            config = BnBConfig(max_boxes=budget, jobs=resolved, seeds=seeds)
-            result = verifier.run(config)
-            assert result.complete, \
-                f"{name}: incomplete analysis at budget {budget}"
-            assert math.isfinite(result.bound_ulps), \
-                f"{name}: infinite bound at budget {budget}"
-            # Dominance: the certified bound covers the validator's
-            # worst observed error.
-            assert validation.max_err <= result.bound_ulps, \
-                f"{name}: validator error {validation.max_err} above " \
-                f"certified bound {result.bound_ulps} (budget {budget})"
-            series.append({
-                "budget": budget,
-                "bound_ulps": result.bound_ulps,
-                "boxes_explored": result.boxes_explored,
-                "boxes_pruned": result.boxes_pruned,
-                "wall_time": result.wall_time,
-                "termination": result.termination,
-                "max_frontier": result.max_frontier,
-            })
-            if cert_info is None:
-                # Round-trip the first certificate through JSON and the
-                # independent checker.
-                cert = verifier.certificate(result, config=config)
-                roundtrip = Certificate.from_json(cert.to_json())
-                assert roundtrip == cert, f"{name}: certificate round trip"
-                report = checker.check(roundtrip, spec.program, rewrite)
-                assert report.ok, \
-                    f"{name}: certificate rejected: {report.failures}"
-                cert_info = {
-                    "leaves": len(cert.leaves),
-                    "size_bytes": cert.size_bytes,
-                    "rechecked_bound": report.rechecked_bound,
-                }
-        curves.append({"jobs": resolved, "series": series})
+    for budget in budgets:
+        config = BnBConfig(max_boxes=budget, seeds=seeds)
+        result = verifier.run(config)
+        assert result.complete, \
+            f"{name}: incomplete analysis at budget {budget}"
+        assert math.isfinite(result.bound_ulps), \
+            f"{name}: infinite bound at budget {budget}"
+        # Dominance: the certified bound covers the validator's worst
+        # observed error.
+        assert validation.max_err <= result.bound_ulps, \
+            f"{name}: validator error {validation.max_err} above " \
+            f"certified bound {result.bound_ulps} (budget {budget})"
+        series.append({
+            "budget": budget,
+            "bound_ulps": result.bound_ulps,
+            "boxes_explored": result.boxes_explored,
+            "boxes_pruned": result.boxes_pruned,
+            "wall_time": result.wall_time,
+            "termination": result.termination,
+            "max_frontier": result.max_frontier,
+        })
+        if cert_info is None:
+            # Round-trip the first certificate through JSON and the
+            # independent checker.
+            cert = verifier.certificate(result, config=config)
+            roundtrip = Certificate.from_json(cert.to_json())
+            assert roundtrip == cert, f"{name}: certificate round trip"
+            report = checker.check(roundtrip, spec.program, rewrite)
+            assert report.ok, \
+                f"{name}: certificate rejected: {report.failures}"
+            cert_info = {
+                "leaves": len(cert.leaves),
+                "size_bytes": cert.size_bytes,
+                "rechecked_bound": report.rechecked_bound,
+            }
 
-    # Monotonicity on the serial curve: more budget never loosens.
-    serial = curves[0]["series"]
-    for a, b in zip(serial, serial[1:]):
+    # Monotonicity: more budget never loosens.
+    for a, b in zip(series, series[1:]):
         assert b["bound_ulps"] <= a["bound_ulps"] * (1 + 1e-12), \
             f"{name}: bound loosened from budget {a['budget']} to " \
             f"{b['budget']}"
@@ -124,11 +116,11 @@ def measure_kernel(name, budgets=BUDGETS, jobs_list=(1, 0),
         "validator_max_err": validation.max_err,
         "validator_converged": validation.converged,
         "seed_proposals": seed_proposals,
-        "curves": curves,
+        "series": series,
         "certificate": cert_info,
         "tightening_64_to_max": (
-            serial[0]["bound_ulps"] / serial[-1]["bound_ulps"]
-            if serial[-1]["bound_ulps"] else 1.0),
+            series[0]["bound_ulps"] / series[-1]["bound_ulps"]
+            if series[-1]["bound_ulps"] else 1.0),
     }
 
 
@@ -140,7 +132,7 @@ def run_baseline(kernels=("exp", "log"), budgets=BUDGETS,
     return {
         "benchmark": "bnb_soundness",
         "budgets": list(budgets),
-        "note": "certified bound vs box budget, 1 vs N workers; every "
+        "note": "certified bound vs box budget; every "
                 "bound is asserted to dominate a seeded MCMC validation "
                 "run, and one certificate per kernel is round-tripped "
                 "through JSON and the independent checker.",
@@ -155,7 +147,7 @@ def test_bnb_bound(benchmark, name, budget):
     verifier = BnBVerifier(spec.program, rewrite, spec.live_outs,
                            dict(spec.ranges))
     result = benchmark.pedantic(
-        verifier.run, args=(BnBConfig(max_boxes=budget, jobs=1),),
+        verifier.run, args=(BnBConfig(max_boxes=budget),),
         rounds=1, iterations=1)
     benchmark.extra_info["bound_ulps"] = result.bound_ulps
     benchmark.extra_info["boxes_explored"] = result.boxes_explored
@@ -173,7 +165,7 @@ def main():
                         default=SEED_PROPOSALS)
     parser.add_argument("--out", default="BENCH_soundness.json")
     parser.add_argument("--min-tightening", type=float, default=0.0,
-                        help="fail unless every kernel's serial bound "
+                        help="fail unless every kernel's bound "
                              "tightens by at least this factor from the "
                              "smallest to the largest budget")
     args = parser.parse_args()
@@ -189,11 +181,10 @@ def main():
         fh.write("\n")
     failed = []
     for row in baseline["results"]:
-        serial = row["curves"][0]["series"]
         print(f"{row['kernel']:>7}: validator {row['validator_max_err']:,.0f} "
               f"ULPs <= certified " +
               " -> ".join(f"{p['bound_ulps']:.3e}@{p['budget']}"
-                          for p in serial) +
+                          for p in row["series"]) +
               f" ({row['tightening_64_to_max']:.1f}x tightening, "
               f"cert {row['certificate']['size_bytes']:,}B "
               f"{row['certificate']['leaves']} leaves)")

@@ -1,21 +1,20 @@
 """Batched BnB verifier throughput vs the reference engine.
 
-The batched engine (``BnBConfig(engine='batched')``) runs the sound
-branch-and-bound search through translate-once compiled transfers with
-prefix sharing between split children and, for ``jobs > 1``, a
-speculative worker pipeline whose results are committed in strict
-serial heap order.  The reference engine is the historical barriered
-search — one box per task through the interpretive transfer — kept as
-the identity oracle and as this benchmark's baseline.
+The batched engine (``BnBConfig(engine='batched')``) runs the serial
+sound branch-and-bound search through translate-once compiled transfers
+with prefix sharing between split children.  The reference engine runs
+the same refinement loop through the interpretive transfer, one box at
+a time; it is kept as the identity oracle and as this benchmark's
+baseline.
 
 Before anything is timed a differential guard asserts the two engines
 produce the identical leaf partition and certified bound on every
-measured kernel, and that the batched partition is jobs-invariant; a
-throughput number for a wrong answer would be meaningless.
+measured kernel; a throughput number for a wrong answer would be
+meaningless.
 
 As a script it writes the ``BENCH_verify.json`` baseline consumed by
 CI and fails if fewer than ``--min-kernels`` kernels reach the
-``--min-ratio`` floor at ``jobs=1``::
+``--min-ratio`` batched/reference floor::
 
     PYTHONPATH=src python benchmarks/bench_verify.py \\
         --out BENCH_verify.json --min-ratio 1.5 --min-kernels 3
@@ -59,57 +58,44 @@ def _best_rate(verifier, config, repeats):
     return best
 
 
-def measure_kernel(name, budget=BUDGET, jobs_list=(1,), repeats=REPEATS):
-    """Engine-vs-engine boxes/sec for one kernel at each jobs level."""
+def measure_kernel(name, budget=BUDGET, repeats=REPEATS):
+    """Engine-vs-engine boxes/sec for one kernel."""
     verifier = _verifier(name)
 
-    # Identity guard: identical partition and bound, and a
-    # jobs-invariant batched partition, before any timing.
+    # Identity guard: identical partition and bound before any timing.
     reference = verifier.run(BnBConfig(max_boxes=budget,
                                        engine="reference"))
     batched = verifier.run(BnBConfig(max_boxes=budget, engine="batched"))
     assert _partition(batched) == _partition(reference), \
         f"batched engine diverged from reference on {name}"
-    for jobs in jobs_list:
-        if jobs == 1:
-            continue
-        parallel = verifier.run(BnBConfig(max_boxes=budget,
-                                          engine="batched", jobs=jobs))
-        assert _partition(parallel) == _partition(batched), \
-            f"batched partition depends on jobs={jobs} on {name}"
 
-    row = {"kernel": name, "budget": budget,
-           "boxes_explored": batched.boxes_explored,
-           "bound_ulps": batched.bound_ulps}
-    for jobs in jobs_list:
-        ref = _best_rate(verifier, BnBConfig(max_boxes=budget, jobs=jobs,
-                                             engine="reference"), repeats)
-        bat = _best_rate(verifier, BnBConfig(max_boxes=budget, jobs=jobs,
-                                             engine="batched"), repeats)
-        row[f"reference_jobs{jobs}_boxes_per_sec"] = ref
-        row[f"batched_jobs{jobs}_boxes_per_sec"] = bat
-        row[f"ratio_jobs{jobs}"] = bat / ref if ref > 0 else float("inf")
-    return row
+    ref = _best_rate(verifier, BnBConfig(max_boxes=budget,
+                                         engine="reference"), repeats)
+    bat = _best_rate(verifier, BnBConfig(max_boxes=budget,
+                                         engine="batched"), repeats)
+    return {"kernel": name, "budget": budget,
+            "boxes_explored": batched.boxes_explored,
+            "bound_ulps": batched.bound_ulps,
+            "reference_boxes_per_sec": ref,
+            "batched_boxes_per_sec": bat,
+            "ratio": bat / ref if ref > 0 else float("inf")}
 
 
-def run_baseline(kernels=KERNELS, budget=BUDGET, jobs_list=(1,),
-                 repeats=REPEATS):
-    rows = [measure_kernel(name, budget=budget, jobs_list=jobs_list,
-                           repeats=repeats) for name in kernels]
-    ratios = sorted((r["ratio_jobs1"] for r in rows), reverse=True)
+def run_baseline(kernels=KERNELS, budget=BUDGET, repeats=REPEATS):
+    rows = [measure_kernel(name, budget=budget, repeats=repeats)
+            for name in kernels]
+    ratios = sorted((r["ratio"] for r in rows), reverse=True)
     return {
         "benchmark": "bnb_verify_throughput",
         "budget": budget,
         "repeats": repeats,
-        "jobs": list(jobs_list),
         "note": "boxes/sec through BnBVerifier.run end to end; ratios "
                 "compare the batched engine (compiled transfers, prefix "
-                "sharing, speculative dispatch) against the reference "
-                "engine on identical partitions (asserted before "
-                "timing).",
+                "sharing) against the reference engine on identical "
+                "partitions (asserted before timing).",
         "results": rows,
-        "min_ratio_jobs1": ratios[-1],
-        "median_ratio_jobs1": ratios[len(ratios) // 2],
+        "min_ratio": ratios[-1],
+        "median_ratio": ratios[len(ratios) // 2],
     }
 
 
@@ -119,11 +105,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kernels", nargs="*", default=list(KERNELS))
     parser.add_argument("--budget", type=int, default=BUDGET)
-    parser.add_argument("--jobs-list", type=int, nargs="*", default=[1])
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--out", default="BENCH_verify.json")
     parser.add_argument("--min-ratio", type=float, default=0.0,
-                        help="the batched/reference jobs=1 floor a "
+                        help="the batched/reference floor a "
                              "kernel must reach to count toward "
                              "--min-kernels")
     parser.add_argument("--min-kernels", type=int, default=3,
@@ -133,24 +118,19 @@ def main():
     args = parser.parse_args()
     baseline = run_baseline(kernels=tuple(args.kernels),
                             budget=args.budget,
-                            jobs_list=tuple(args.jobs_list),
                             repeats=args.repeats)
     with open(args.out, "w") as fh:
         json.dump(baseline, fh, indent=2)
         fh.write("\n")
     for row in baseline["results"]:
-        parts = [f"{row['kernel']}:"]
-        for jobs in baseline["jobs"]:
-            parts.append(
-                f"jobs={jobs} reference "
-                f"{row[f'reference_jobs{jobs}_boxes_per_sec']:,.0f} | "
-                f"batched {row[f'batched_jobs{jobs}_boxes_per_sec']:,.0f} "
-                f"boxes/s ({row[f'ratio_jobs{jobs}']:.2f}x)")
-        print("  ".join(parts))
+        print(f"{row['kernel']}: reference "
+              f"{row['reference_boxes_per_sec']:,.0f} | batched "
+              f"{row['batched_boxes_per_sec']:,.0f} boxes/s "
+              f"({row['ratio']:.2f}x)")
     print(f"wrote {args.out}")
     if args.min_ratio > 0.0:
         reached = [row["kernel"] for row in baseline["results"]
-                   if row["ratio_jobs1"] >= args.min_ratio]
+                   if row["ratio"] >= args.min_ratio]
         print(f"{len(reached)}/{len(baseline['results'])} kernels at or "
               f"above {args.min_ratio:.2f}x: {', '.join(reached)}")
         if len(reached) < args.min_kernels:

@@ -137,41 +137,32 @@ def _verify_setup(args):
     Returns (target, rewrite, live_outs, ranges, validation_ranges,
     memory, concrete_gp, base_testcase_factory).
     """
-    from repro.x86.memory import Memory
-
     if args.kernel:
+        from repro.kernels.aek.vector import AEK_REWRITES
+        from repro.kernels.libimf import LIBIMF_KERNELS
+        from repro.service.jobs import resolve_kernel, verify_environment
+
         if args.programs and len(args.programs) > 1:
             raise SystemExit("--kernel takes at most one program file "
                              "(the rewrite)")
-        rewrite_path = args.programs[0] if args.programs else None
-        if args.kernel == "delta":
-            from repro.kernels.aek import vector as V
-
-            spec = V.delta_kernel()
-            rewrite = _load_program(rewrite_path) if rewrite_path \
-                else V.delta_rewrite()
-            ranges = dict(spec.ranges)
-            ranges.update(V.delta_mem_ranges())
-            return (spec.program, rewrite, list(spec.live_outs), ranges,
-                    dict(spec.ranges), Memory(V.aek_segments()),
-                    dict(V.CONCRETE_GP_INDICES), spec.base_testcase)
-        from repro.kernels.libimf import LIBIMF_KERNELS
-
-        if args.kernel not in LIBIMF_KERNELS:
-            known = ", ".join(sorted(LIBIMF_KERNELS) | {"delta"})
-            raise SystemExit(f"unknown --kernel {args.kernel!r} "
-                             f"(known: {known})")
-        factory = LIBIMF_KERNELS[args.kernel]
-        spec = factory()
-        if rewrite_path:
-            rewrite = _load_program(rewrite_path)
+        try:
+            spec = resolve_kernel(args.kernel)
+        except KeyError as exc:
+            raise SystemExit(f"--kernel: {exc.args[0]}") from None
+        if args.programs:
+            rewrite = _load_program(args.programs[0])
         elif args.degree is not None:
-            rewrite = factory(args.degree).program
+            if args.kernel not in LIBIMF_KERNELS:
+                raise SystemExit("--degree applies only to the libimf "
+                                 f"kernels ({', '.join(LIBIMF_KERNELS)})")
+            rewrite = LIBIMF_KERNELS[args.kernel](args.degree).program
+        elif args.kernel in AEK_REWRITES:
+            rewrite = AEK_REWRITES[args.kernel]()
         else:
             rewrite = spec.program
-        ranges = dict(spec.ranges)
+        memory, concrete_gp, ranges = verify_environment(args.kernel)
         return (spec.program, rewrite, list(spec.live_outs), ranges,
-                dict(ranges), None, None, spec.base_testcase)
+                dict(spec.ranges), memory, concrete_gp, spec.base_testcase)
 
     if len(args.programs) != 2:
         raise SystemExit("verify needs TARGET and REWRITE files "
@@ -241,7 +232,7 @@ def cmd_verify(args) -> int:
                   f"{len(seeds)} counterexample seed(s)")
 
     config = BnBConfig(max_boxes=args.budget, deadline=args.deadline,
-                       target_gap=args.target_gap, jobs=args.jobs,
+                       target_gap=args.target_gap,
                        seeds=seeds, engine=args.engine)
     result = verifier.run(config)
     if not quiet:
@@ -257,7 +248,7 @@ def cmd_verify(args) -> int:
         print(f"# {result.boxes_explored} boxes explored, "
               f"{result.boxes_pruned} pruned, {len(result.leaves)} leaves, "
               f"frontier peak {result.max_frontier}, "
-              f"{result.rounds} rounds x {result.jobs} worker(s), "
+              f"{result.rounds} rounds, "
               f"{result.wall_time:.2f}s "
               f"({result.boxes_per_second:,.0f} boxes/s, "
               f"engine={config.engine})")
@@ -329,7 +320,6 @@ def cmd_verify(args) -> int:
             "leaves": len(result.leaves),
             "rounds": result.rounds,
             "max_frontier": result.max_frontier,
-            "jobs": result.jobs,
             "seeds_covered": result.seeds_covered,
             "unsupported": result.unsupported,
             "per_location": {loc: S.enc_float(v)
@@ -926,8 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "most one file (the rewrite)")
     ver.add_argument("--kernel",
                      help="built-in kernel: sin, cos, tan, log, exp, "
-                          "exp_s3d, or delta (brings its own ranges, "
-                          "live-outs, and memory image)")
+                          "scale, dot, add, or delta (brings its own "
+                          "ranges, live-outs, and memory image)")
     ver.add_argument("--degree", type=int, default=None,
                      help="with --kernel: verify against the same kernel "
                           "rebuilt at this polynomial degree")
@@ -943,14 +933,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock refinement deadline")
     ver.add_argument("--target-gap", type=float, default=None, metavar="G",
                      help="stop once bound <= lower + G*max(lower, 1)")
-    ver.add_argument("--jobs", type=_nonnegative_int, default=1,
-                     metavar="N",
-                     help="refinement worker processes (0 = cpu count)")
     ver.add_argument("--engine", choices=("batched", "reference"),
                      default="batched",
-                     help="'batched' = pipelined compiled transfers "
-                          "(jobs-invariant partition); 'reference' = the "
-                          "historical barriered interpretive engine")
+                     help="'batched' = compiled transfers sharing each "
+                          "split's abstract prefix; 'reference' = the "
+                          "interpretive transfer, one box at a time")
     ver.add_argument("--domain", choices=("separate", "relational"),
                      default="separate",
                      help="'separate' = independent output hulls; "

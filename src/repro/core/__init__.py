@@ -14,7 +14,6 @@ from repro.core.parallel import (
     StokeSpec,
     default_jobs,
     run_chains,
-    run_seeded_chains,
 )
 from repro.core.restarts import RestartResult, run_restarts
 from repro.core.search import SearchConfig, Stoke
@@ -52,7 +51,6 @@ __all__ = [
     "StokeSpec",
     "default_jobs",
     "run_chains",
-    "run_seeded_chains",
     "RestartResult",
     "run_restarts",
     "SearchConfig",

@@ -3,8 +3,9 @@
 The paper spreads every search over 16 threads (Section 6) and relies on
 that restart parallelism for its wall-clock numbers.  CPython's GIL makes
 thread parallelism useless for a pure-Python interpreter loop, so this
-module fans independent seeded chains out over a ``multiprocessing``
-worker pool instead.
+module fans independent seeded chains out over :class:`TaskPool`, the
+one worker-pool implementation in the repo (the campaign scheduler runs
+on it too).
 
 Design constraints, in order:
 
@@ -21,9 +22,9 @@ Design constraints, in order:
    exotic setups), then serves many chains from it.  Only specs, configs,
    and :class:`~repro.core.result.SearchResult` values cross the process
    boundary.
-3. **Streaming.**  Results are streamed back as chains finish
-   (``imap_unordered``); pass ``on_result`` to observe completions live.
-   Every ``SearchResult`` carries its seed and full stats, so
+3. **Failures surface.**  A chain whose worker dies (killed,
+   segfaulted, OOMed) raises :class:`TaskCrash` instead of hanging the
+   run.  Every ``SearchResult`` carries its seed and full stats, so
    ``result.telemetry`` keeps parallel runs debuggable per chain.
 """
 
@@ -131,21 +132,11 @@ def _preferred_start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-# Per-worker-process optimizer, built once by the pool initializer and
-# reused for every chain the worker runs.
-_WORKER_STOKE: Optional[Stoke] = None
-
-
-def _init_worker(spec: SpecLike) -> None:
-    global _WORKER_STOKE
-    _WORKER_STOKE = build_stoke(spec)
-
-
-def _run_chain(task: Tuple[int, SearchConfig, Optional[Strategy]]
-               ) -> Tuple[int, SearchResult]:
-    index, config, strategy = task
-    assert _WORKER_STOKE is not None, "worker pool not initialized"
-    return index, _WORKER_STOKE.search(config, strategy=strategy)
+def _search_chain(stoke: Stoke,
+                  task: Tuple[SearchConfig, Optional[Strategy]]
+                  ) -> SearchResult:
+    config, strategy = task
+    return stoke.search(config, strategy=strategy)
 
 
 def run_chains(
@@ -153,48 +144,25 @@ def run_chains(
     configs: Sequence[SearchConfig],
     jobs: Optional[int] = None,
     strategy: Optional[Strategy] = None,
-    on_result: Optional[Callable[[SearchResult], None]] = None,
-    start_method: Optional[str] = None,
 ) -> List[SearchResult]:
     """Run one search per config, fanned out over ``jobs`` processes.
 
     Returns results in config order regardless of completion order.
     ``jobs=None``/``0`` picks :func:`default_jobs`; ``jobs=1`` runs
-    in-process with a single shared optimizer (no pool, no pickling).
-    ``on_result`` fires once per chain as it completes — in completion
-    order for ``jobs > 1``, which is the streaming path.
+    in-process on one optimizer (no subprocesses, no pickling).  Raises
+    :class:`TaskCrash` if a chain's worker dies.
     """
     configs = list(configs)
     if not configs:
         return []
     jobs = resolve_jobs(jobs, len(configs))
-
-    if jobs == 1 or len(configs) == 1:
-        stoke = build_stoke(spec)
-        results = []
-        for config in configs:
-            result = stoke.search(config, strategy=strategy)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-
-    ctx = mp.get_context(start_method or _preferred_start_method())
-    tasks = [(i, config, strategy) for i, config in enumerate(configs)]
-    results: List[Optional[SearchResult]] = [None] * len(configs)
-    with ctx.Pool(processes=jobs, initializer=_init_worker,
-                  initargs=(spec,)) as pool:
-        for index, result in pool.imap_unordered(_run_chain, tasks):
-            results[index] = result
-            if on_result is not None:
-                on_result(result)
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
+    with TaskPool(build_stoke, spec, _search_chain, jobs=jobs) as pool:
+        return pool.map([(config, strategy) for config in configs])
 
 
 # ---------------------------------------------------------------------------
-# Generic persistent task pool (used by the branch-and-bound verifier and
-# the campaign scheduler)
+# Generic persistent task pool (used by restart chains and the campaign
+# scheduler)
 
 
 @dataclass
@@ -302,7 +270,7 @@ class TaskPool:
 
     Two surfaces:
 
-    * :meth:`map` / :meth:`run` — synchronous batches (the verifier).
+    * :meth:`map` / :meth:`run` — synchronous batches (restart chains).
     * :meth:`submit` / :meth:`poll` — streaming dispatch with completion
       draining (the campaign scheduler), where tasks are fed as their
       dependencies resolve rather than as one pre-known batch.
@@ -315,7 +283,6 @@ class TaskPool:
 
     def __init__(self, context_factory: Callable, spec,
                  task_fn: Callable, jobs: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  task_timeout: Optional[float] = None):
         if jobs is not None and jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
@@ -337,22 +304,14 @@ class TaskPool:
             self._ctx = None
             self._context = context_factory(spec)
         else:
-            self._ctx = mp.get_context(start_method
-                                       or _preferred_start_method())
+            self._ctx = mp.get_context(_preferred_start_method())
             for _ in range(self.jobs):
                 self._workers.append(self._spawn())
 
-    # -- compatibility shim: truthy when subprocess-backed ---------------
     @property
     def inline(self) -> bool:
         """True when tasks run in-process (``jobs=1``)."""
         return self._ctx is None
-
-    def set_context(self, context) -> None:
-        """Replace the inline context (callers with a prebuilt one)."""
-        if not self.inline:
-            raise ValueError("set_context only applies to inline pools")
-        self._context = context
 
     # -- worker lifecycle -------------------------------------------------
 
@@ -524,18 +483,6 @@ class TaskPool:
         """Tasks submitted whose outcomes have not been drained."""
         return self._in_flight
 
-    @property
-    def idle_workers(self) -> int:
-        """Workers alive and not running a task (0 for inline pools).
-
-        Streaming callers use this to size speculative dispatch: keep
-        submitting while capacity is free, stop once saturated.
-        """
-        if self.inline:
-            return 0
-        return sum(1 for w in self._workers
-                   if not w.busy and w.proc.is_alive())
-
     # -- public: batches --------------------------------------------------
 
     def run(self, items: Sequence,
@@ -566,8 +513,7 @@ class TaskPool:
 
         Raises :class:`TaskError` / :class:`TaskTimeout` /
         :class:`TaskCrash` on the first failed task (after the batch
-        drains), matching the fail-fast contract of the original
-        ``multiprocessing.Pool`` implementation.
+        drains).
         """
         items = list(items)
         if not items:
@@ -601,16 +547,3 @@ class TaskPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def run_seeded_chains(
-    spec: SpecLike,
-    config: SearchConfig,
-    chains: int,
-    jobs: Optional[int] = None,
-    strategy: Optional[Strategy] = None,
-    on_result: Optional[Callable[[SearchResult], None]] = None,
-) -> List[SearchResult]:
-    """``chains`` independent searches with seeds derived from ``config``."""
-    return run_chains(spec, chain_configs(config, chains), jobs=jobs,
-                      strategy=strategy, on_result=on_result)

@@ -1,17 +1,17 @@
 """Multi-chain search: independent seeded restarts.
 
 The paper runs 16 search threads per benchmark and keeps the best result;
-with Python's GIL the equivalent is independent chains run sequentially
-(``jobs=1``) or fanned out over a process pool (``jobs>1``, see
-:mod:`repro.core.parallel`).  Chains are fully deterministic given their
+with Python's GIL the equivalent is independent chains fanned out over
+worker processes (see :mod:`repro.core.parallel`; ``jobs=1`` runs them
+in-process).  Chains are fully deterministic given their
 seeds and are always aggregated in seed order, so a restart run produces
 bit-identical results for any worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from repro.core.result import SearchResult
 from repro.core.search import SearchConfig, Stoke
@@ -74,39 +74,28 @@ def aggregate(chains: List[SearchResult], jobs: int = 1) -> RestartResult:
 def run_restarts(stoke: Stoke, config: SearchConfig, chains: int,
                  strategy: Optional[Strategy] = None,
                  jobs: Optional[int] = 1,
-                 spec=None,
-                 on_result: Optional[Callable[[SearchResult], None]] = None,
-                 ) -> RestartResult:
+                 spec=None) -> RestartResult:
     """Run ``chains`` independent searches with derived seeds.
 
     Seeds are ``config.seed, config.seed + 1, ...`` so a restart run is
     reproducible and any individual chain can be re-run in isolation.
 
     ``jobs`` selects the worker count: ``1`` (the default) runs the
-    chains serially on ``stoke``; ``None`` or ``0`` auto-sizes to the
-    CPU count; ``>1`` fans chains out over a process pool, where each
-    worker rebuilds its own optimizer from ``spec`` (derived from
+    chains in-process on ``stoke`` itself; ``None`` or ``0`` auto-sizes
+    to the CPU count; ``>1`` fans chains out over worker processes, each
+    of which rebuilds its own optimizer from ``spec`` (derived from
     ``stoke`` when not given — a ``Stoke`` with a ``slow_check`` needs
     an explicit picklable spec or factory).  Aggregate results are
     bit-identical across worker counts for a fixed seed list.
     """
-    if chains < 1:
-        raise ValueError("need at least one chain")
-    from repro.core.parallel import StokeSpec, resolve_jobs, run_seeded_chains
+    from repro.core.parallel import (StokeSpec, chain_configs,
+                                     resolve_jobs, run_chains)
 
+    configs = chain_configs(config, chains)
     jobs = resolve_jobs(jobs, chains)
     if jobs == 1:
-        results: List[SearchResult] = []
-        for chain in range(chains):
-            chain_config = replace(config, seed=config.seed + chain)
-            result = stoke.search(chain_config, strategy=strategy)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return aggregate(results, jobs=1)
-
-    if spec is None:
+        spec = lambda: stoke  # noqa: E731 - an inline pool never pickles
+    elif spec is None:
         spec = StokeSpec.from_stoke(stoke)
-    results = run_seeded_chains(spec, config, chains, jobs=jobs,
-                                strategy=strategy, on_result=on_result)
+    results = run_chains(spec, configs, jobs=jobs, strategy=strategy)
     return aggregate(results, jobs=jobs)

@@ -23,7 +23,7 @@ from repro.x86.emulator import Emulator
 from repro.x86.jit import compile_program
 
 from repro.core import CostConfig, SearchConfig, StokeSpec
-from repro.core.parallel import resolve_jobs, run_seeded_chains
+from repro.core.parallel import chain_configs, resolve_jobs, run_chains
 from repro.harness.report import format_table
 from repro.kernels.libimf import LIBIMF_KERNELS
 
@@ -118,9 +118,8 @@ def measure_chain_throughput(name: str = "exp", chains: int = 4,
                      cost_config=CostConfig(eta=1.0e12, k=1.0))
     jobs = resolve_jobs(jobs, chains)
     start = time.perf_counter()
-    results = run_seeded_chains(spec, SearchConfig(proposals=proposals,
-                                                   seed=seed),
-                                chains=chains, jobs=jobs)
+    results = run_chains(spec, chain_configs(
+        SearchConfig(proposals=proposals, seed=seed), chains), jobs=jobs)
     elapsed = time.perf_counter() - start
     return ChainThroughputResult(
         kernel=name,

@@ -107,7 +107,6 @@ class Certificate:
                 "max_boxes": config.max_boxes,
                 "deadline": config.deadline,
                 "target_gap": config.target_gap,
-                "jobs": config.jobs,
                 "seeds": len(config.seeds),
             }
         return cls(
@@ -131,7 +130,6 @@ class Certificate:
                 "boxes_pruned": result.boxes_pruned,
                 "rounds": result.rounds,
                 "max_frontier": result.max_frontier,
-                "jobs": result.jobs,
                 "wall_time": result.wall_time,
                 "concrete_bit_ops": result.stats.concrete_bit_ops,
                 "widened_bit_ops": result.stats.widened_bit_ops,

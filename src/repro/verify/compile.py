@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
 from repro.x86.program import Program
@@ -56,7 +56,6 @@ from repro.verify.interval import (
     _down32,
     _exec_cmov,
     _exec_int_binop,
-    _exec_interval,
     _exec_shift,
     _half_of_pattern,
     _pattern_of_half,
@@ -88,14 +87,13 @@ class TransferPlan:
     """A program compiled to transfer closures plus dependence metadata.
 
     ``touches[i]`` is the set of dimension storage keys step ``i`` may
-    read or write, or ``None`` for a conservative "touches everything"
-    step (the interpretive fallback).  ``histogram`` counts compiled
-    steps per opcode (``nop`` slots are dropped at compile time).
+    read or write.  ``histogram`` counts compiled steps per opcode
+    (``nop`` slots are dropped at compile time).
     """
 
     steps: List[Step] = field(default_factory=list)
     opcodes: List[str] = field(default_factory=list)
-    touches: List[Optional[FrozenSet]] = field(default_factory=list)
+    touches: List[FrozenSet] = field(default_factory=list)
     histogram: Dict[str, int] = field(default_factory=dict)
 
     def first_touch(self, key) -> int:
@@ -107,7 +105,7 @@ class TransferPlan:
         the restored state).
         """
         for i, touch in enumerate(self.touches):
-            if touch is None or key in touch:
+            if key in touch:
                 return i
         return len(self.steps)
 
@@ -820,14 +818,6 @@ def _compile_cvtsi2sd(instr):
     return step, frozenset({_x(di)})
 
 
-def _compile_fallback(instr):
-    def step(state):
-        _exec_interval(state, instr)
-
-    # Unknown shape: assume it can touch every dimension.
-    return step, None
-
-
 _COMPILERS: Dict[str, Callable] = {}
 for _name in _SD:
     _COMPILERS[_name] = _compile_sd
@@ -882,9 +872,8 @@ def _compile_instr(instr):
         if name.startswith("cmov"):
             compiler = _compile_cmov
         else:
-            # Unknown opcode: defer to the interpretive dispatcher, which
-            # raises the canonical "outside the fragment" message at run
-            # time (and keeps any future interpreter additions working
-            # before they grow a dedicated compiler).
-            return _compile_fallback(instr)
+            # Outside the fragment: fail at run time with the
+            # interpretive dispatcher's message.
+            return _raising(f"opcode {name} outside the "
+                            "interval-analyzable fragment"), _NO_TOUCH
     return compiler(instr)

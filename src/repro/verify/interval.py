@@ -1510,7 +1510,7 @@ def interval_ulp_bound(
 
     verifier = BnBVerifier(target, rewrite, live_outs, ranges,
                            memory=memory, concrete_gp=concrete_gp)
-    result = verifier.run(BnBConfig(max_boxes=max_boxes, jobs=1))
+    result = verifier.run(BnBConfig(max_boxes=max_boxes))
     if not result.complete and not math.isfinite(result.bound_ulps):
         # Legacy contract: an unanalyzable program raises rather than
         # returning a vacuous infinite bound.  (The BnB API itself

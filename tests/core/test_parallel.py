@@ -1,7 +1,11 @@
 """Tests for the process-parallel multi-chain search engine."""
 
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +25,6 @@ from repro.core.parallel import (
     default_jobs,
     resolve_jobs,
     run_chains,
-    run_seeded_chains,
 )
 from repro.core.restarts import RestartResult
 
@@ -113,8 +116,9 @@ class TestDeterminism:
     def test_serial_vs_parallel_chains(self, tiny_target):
         spec = _spec(tiny_target)
         config = SearchConfig(proposals=400, seed=5)
-        serial = run_seeded_chains(spec, config, chains=4, jobs=1)
-        parallel = run_seeded_chains(spec, config, chains=4, jobs=2)
+        configs = chain_configs(config, 4)
+        serial = run_chains(spec, configs, jobs=1)
+        parallel = run_chains(spec, configs, jobs=2)
         assert [_chain_fingerprint(r) for r in serial] == \
             [_chain_fingerprint(r) for r in parallel]
 
@@ -152,23 +156,71 @@ class TestDeterminism:
 
     def test_results_in_seed_order(self, tiny_target):
         spec = _spec(tiny_target)
-        results = run_seeded_chains(spec, SearchConfig(proposals=150, seed=9),
-                                    chains=3, jobs=2)
+        results = run_chains(spec, chain_configs(
+            SearchConfig(proposals=150, seed=9), 3), jobs=2)
         assert [r.seed for r in results] == [9, 10, 11]
 
 
-class TestStreaming:
-    def test_on_result_fires_per_chain(self, tiny_target):
-        spec = _spec(tiny_target)
-        seen = []
-        results = run_seeded_chains(spec, SearchConfig(proposals=150, seed=0),
-                                    chains=3, jobs=2,
-                                    on_result=lambda r: seen.append(r.seed))
-        assert sorted(seen) == [0, 1, 2]
-        assert len(results) == 3
+# A restart run whose second chain's worker process dies mid-search.
+_DYING_CHAIN_SCRIPT = """
+import os
+import random
+import sys
 
+from repro.core import CostConfig, SearchConfig, Stoke
+from repro.core.parallel import TaskCrash, chain_configs, run_chains
+from repro.x86.assembler import assemble
+from repro.x86.testcase import uniform_testcases
+
+
+class DyingStoke(Stoke):
+    def search(self, config, strategy=None, **kwargs):
+        if config.seed == 1:
+            os._exit(3)
+        return super().search(config, strategy=strategy, **kwargs)
+
+
+def factory():
+    tests = uniform_testcases(random.Random(0), 8, {"xmm0": (-5.0, 5.0)})
+    return DyingStoke(assemble("addsd xmm0, xmm0\\n"), tests, ["xmm0"],
+                      CostConfig(eta=0.0, k=1.0))
+
+
+try:
+    run_chains(factory, chain_configs(SearchConfig(proposals=50), 2),
+               jobs=2)
+except TaskCrash as exc:
+    print(f"TaskCrash: {exc}")
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+class TestStreaming:
     def test_empty_configs(self, tiny_target):
         assert run_chains(_spec(tiny_target), [], jobs=2) == []
+
+    def test_dead_chain_worker_raises_task_crash(self):
+        # A worker that dies mid-chain must fail the run, not hang it.
+        # The call runs in its own process group so a hang is bounded
+        # and leaves no workers behind.
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in
+                                      [env.get("PYTHONPATH")] if p])
+        proc = subprocess.Popen([sys.executable, "-c", _DYING_CHAIN_SCRIPT],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, env=env,
+                                start_new_session=True, text=True)
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_chains hung after a worker died")
+        assert proc.returncode == 0, out
+        assert "TaskCrash" in out and "worker died" in out
 
 
 class TestTelemetry:

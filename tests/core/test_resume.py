@@ -152,7 +152,7 @@ class TestBnBResume:
     def test_bit_identical_resume(self):
         from repro.verify.bnb import BnBCheckpoint, BnBConfig
 
-        config = BnBConfig(max_boxes=48, jobs=1)
+        config = BnBConfig(max_boxes=48)
         full = self._verifier().run(config)
 
         checkpoints = []
@@ -176,7 +176,7 @@ class TestBnBResume:
         from repro.core.serialize import canonical_json
         from repro.verify.bnb import BnBCheckpoint, BnBConfig
 
-        config = BnBConfig(max_boxes=32, jobs=1)
+        config = BnBConfig(max_boxes=32)
 
         def cert_doc(verifier, result):
             doc = verifier.certificate(result, config=config).to_dict()

@@ -119,6 +119,47 @@ class TestVerify:
         assert rc == 0
         assert "VALID" in capsys.readouterr().out
 
+    def test_verify_unknown_kernel_lists_known(self):
+        from repro.kernels.aek.vector import AEK_KERNELS
+        from repro.kernels.libimf import LIBIMF_KERNELS
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--kernel", "nosuch"])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # a message, not a traceback
+        assert "unknown kernel 'nosuch'" in message
+        for name in list(AEK_KERNELS) + list(LIBIMF_KERNELS):
+            assert name in message
+
+    def test_verify_kernel_help_lists_resolvable_names(self, capsys):
+        import re
+
+        from repro.kernels.aek.vector import AEK_KERNELS
+        from repro.kernels.libimf import LIBIMF_KERNELS
+
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"built-in kernel: (.*?) \(brings", text).group(1)
+        names = {name.strip() for name in
+                 listed.replace(" or ", ", ").split(",") if name.strip()}
+        assert names == set(AEK_KERNELS) | set(LIBIMF_KERNELS)
+
+    def test_verify_aek_kernel_certifies(self, tmp_path, capsys):
+        cert = tmp_path / "dot.cert.json"
+        main(["verify", "--kernel", "dot", "--budget", "8",
+              "--emit-cert", str(cert)])
+        assert "certified bound" in capsys.readouterr().out
+        rc = main(["verify", "--kernel", "dot", "--check-cert", str(cert)])
+        assert rc == 0
+        assert "certificate: VALID" in capsys.readouterr().out
+
+    def test_verify_takes_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--kernel", "exp", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_check_cert_rejects_wrong_program(self, tmp_path, capsys):
         cert = tmp_path / "exp.cert.json"
         rc = main(["verify", "--kernel", "exp", "--degree", "8",

@@ -172,6 +172,30 @@ class TestSplitSharing:
             box = box.split(dim)[1]  # right children this time
 
 
+    @pytest.mark.parametrize("name", ["exp", "log"])
+    def test_relational_sharing_identical_to_scratch(self, name):
+        """The relational product program shares split prefixes too;
+        exp/log have long literal shared prefixes, so the collapsed
+        paired-state path is exercised."""
+        from repro.verify.relational.domain import RelationalTransfer
+
+        factory = LIBIMF_KERNELS[name]
+        spec = factory()
+        transfer = RelationalTransfer(
+            spec.program, factory(REDUCED_DEGREE[name]).program,
+            spec.live_outs, dict(spec.ranges))
+        box = transfer.root
+        for step in range(12):
+            if not box.splittable:
+                break
+            dim = box.widest_dim()
+            shared = transfer.analyze_split(box, dim, sharing=True)
+            scratch = transfer.analyze_split(box, dim, sharing=False)
+            assert shared[0] == scratch[0]
+            assert shared[1] == scratch[1]
+            box = box.split(dim)[step % 2]
+
+
 class TestProfile:
     def test_profile_populates_op_seconds(self):
         target, rewrite = _poly_pair()
@@ -190,7 +214,64 @@ class TestProfile:
         assert op_secs is None
 
 
+# One accepted form of every opcode outside the interval fragment (no
+# transfer compiler of its own, not cmov, not nop).
+_UNSUPPORTED_FORMS = {
+    "andnpd": "andnpd xmm1, xmm0", "andpd": "andpd xmm1, xmm0",
+    "andps": "andps xmm1, xmm0", "cmpsd": "cmpsd $1, xmm1, xmm0",
+    "cvtpd2ps": "cvtpd2ps xmm1, xmm0", "cvtps2pd": "cvtps2pd xmm1, xmm0",
+    "cvtsi2ss": "cvtsi2ss eax, xmm0", "cvttss2si": "cvttss2si xmm0, eax",
+    "haddpd": "haddpd xmm1, xmm0", "haddps": "haddps xmm1, xmm0",
+    "movhlps": "movhlps xmm1, xmm0", "movlhps": "movlhps xmm1, xmm0",
+    "neg": "neg rax", "not": "not rax",
+    "orpd": "orpd xmm1, xmm0", "orps": "orps xmm1, xmm0",
+    "pand": "pand xmm1, xmm0", "por": "por xmm1, xmm0",
+    "pshufd": "pshufd $0x4e, xmm1, xmm0",
+    "pshuflw": "pshuflw $0x4e, xmm1, xmm0",
+    "roundsd": "roundsd $1, xmm1, xmm0",
+    "shufpd": "shufpd $1, xmm1, xmm0",
+    "vfmadd132ss": "vfmadd132ss xmm2, xmm1, xmm0",
+    "vfmadd213ss": "vfmadd213ss xmm2, xmm1, xmm0",
+    "vfmadd231ss": "vfmadd231ss xmm2, xmm1, xmm0",
+    "vfmsub213sd": "vfmsub213sd xmm2, xmm1, xmm0",
+    "vfnmadd213sd": "vfnmadd213sd xmm2, xmm1, xmm0",
+    "vpshuflw": "vpshuflw $0x4e, xmm1, xmm0",
+}
+
+
 class TestUnsupportedParity:
+    def test_forms_cover_every_uncompiled_opcode(self):
+        from repro.verify.compile import _COMPILERS
+        from repro.x86.opcodes import OPCODES
+
+        uncompiled = {name for name in OPCODES
+                      if name not in _COMPILERS and name != "nop"
+                      and not name.startswith("cmov")}
+        assert set(_UNSUPPORTED_FORMS) == uncompiled
+
+    @pytest.mark.parametrize("opcode", sorted(_UNSUPPORTED_FORMS))
+    def test_uncompiled_opcode_matches_interpreter(self, opcode):
+        # Placed after a supported step, so the failure happens mid-run.
+        target = assemble("addsd xmm0, xmm0\n"
+                          f"{_UNSUPPORTED_FORMS[opcode]}\n")
+        _, rewrite = _poly_pair()
+        transfer = IntervalTransfer(target, rewrite, ["xmm0"],
+                                    {"xmm0": (0.5, 2.0)})
+        assert all(isinstance(touch, frozenset)
+                   for touch in compile_transfer(target).touches)
+        with pytest.raises(IntervalUnsupported) as excinfo:
+            transfer.analyze_interpretive(transfer.root)
+        assert str(excinfo.value) == \
+            f"opcode {opcode} outside the interval-analyzable fragment"
+        (bound, per_loc, delta, error), _ = \
+            transfer.analyze_unit(transfer.root)
+        assert (bound, per_loc, delta, error) == \
+            (math.inf, None, (1, 0, 0), str(excinfo.value))
+        box = transfer.root
+        l_res, r_res, _ = transfer.analyze_split(box, box.widest_dim())
+        assert l_res == r_res == (math.inf, None, (1, 0, 0),
+                                  str(excinfo.value))
+
     def test_error_string_matches_interpreter(self):
         # Non-zeroing xorpd is outside the interval fragment: the
         # compiled closure must fail with the interpreter's message.
