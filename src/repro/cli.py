@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
 
     config = BnBConfig(max_boxes=args.budget, deadline=args.deadline,
                        target_gap=args.target_gap,
-                       seeds=seeds, engine=args.engine)
+                       seeds=seeds)
     result = verifier.run(config)
     if not quiet:
         print(f"certified bound: {result.bound_ulps:.6g} ULPs "
@@ -250,8 +250,7 @@ def cmd_verify(args) -> int:
               f"frontier peak {result.max_frontier}, "
               f"{result.rounds} rounds, "
               f"{result.wall_time:.2f}s "
-              f"({result.boxes_per_second:,.0f} boxes/s, "
-              f"engine={config.engine})")
+              f"({result.boxes_per_second:,.0f} boxes/s)")
         print(f"# bit ops: {result.stats.concrete_bit_ops} concrete, "
               f"{result.stats.widened_bit_ops} widened")
         if args.profile_transfers and result.stats.op_seconds:
@@ -308,7 +307,6 @@ def cmd_verify(args) -> int:
                   f"({cert.size_bytes:,} bytes, {len(cert.leaves)} leaves)")
     if args.json:
         payload = {
-            "engine": config.engine,
             "domain": result.domain,
             "bound_ulps": S.enc_float(result.bound_ulps),
             "lower_bound": S.enc_float(result.lower_bound),
@@ -933,11 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock refinement deadline")
     ver.add_argument("--target-gap", type=float, default=None, metavar="G",
                      help="stop once bound <= lower + G*max(lower, 1)")
-    ver.add_argument("--engine", choices=("batched", "reference"),
-                     default="batched",
-                     help="'batched' = compiled transfers sharing each "
-                          "split's abstract prefix; 'reference' = the "
-                          "interpretive transfer, one box at a time")
     ver.add_argument("--domain", choices=("separate", "relational"),
                      default="separate",
                      help="'separate' = independent output hulls; "

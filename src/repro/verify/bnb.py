@@ -17,16 +17,13 @@ with the largest interval bound along its widest ULP-space dimension:
   largest is a *lower* bound on the sup error, boxes whose bound is
   already below it are never worth refining (pruned), and boxes that
   contain a counterexample are refined first while the bound has slack.
-* **Serial refinement, two engines.**  Each round pops the worst box,
-  splits it on its widest dimension, and absorbs the left child, then
-  the right.  ``engine='batched'`` (the default) analyzes both children
-  in one unit through the compiled transfer, sharing the parent's
-  abstract prefix
+* **Serial refinement.**  Each round pops the worst box, splits it on
+  its widest dimension, and absorbs the left child, then the right.
+  Both children are analyzed in one unit through the compiled
+  transfer, sharing the parent's abstract prefix
   (:meth:`~repro.verify.interval.IntervalTransfer.analyze_split`).
-  ``engine='reference'`` bounds each child through the interpretive
-  transfer and is kept as the oracle for identity tests and throughput
-  baselines.  Parallelism lives a level up: a campaign runs many
-  verify jobs at once.
+  Parallelism lives a level up: a campaign runs many verify jobs at
+  once.
 * **Termination triad.**  A box budget, a wall-clock deadline, and a
   target gap (``bound <= lower + gap * max(lower, 1)``) — whichever
   fires first; an exhausted frontier (everything pruned or at point
@@ -82,24 +79,9 @@ class TransferSpec:
             profile=self.profile)
 
 
-def _analyze_box(transfer: IntervalTransfer, box: BitBox
-                 ) -> Tuple[float, Optional[Dict[str, float]],
-                            Tuple[int, int, int], Optional[str]]:
-    """Reference engine: bound one box through the interpretive
-    transfer; IntervalUnsupported -> +inf bound."""
-    from repro.verify.interval import IntervalUnsupported
-
-    try:
-        bound, per_loc, stats = transfer.analyze_interpretive(box)
-    except IntervalUnsupported as exc:
-        return _INF, None, (1, 0, 0), str(exc)
-    return bound, per_loc, (stats.boxes, stats.concrete_bit_ops,
-                            stats.widened_bit_ops), None
-
-
 @dataclass(frozen=True)
 class BnBConfig:
-    """Search policy: termination triad, seeding, engine."""
+    """Search policy: termination triad and seeding."""
 
     max_boxes: int = 256          # analyze-call budget
     deadline: Optional[float] = None   # wall-clock seconds
@@ -107,9 +89,6 @@ class BnBConfig:
     # ((input values in range order), observed true error) pairs,
     # typically from seeds_from_validation().
     seeds: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
-    # 'batched' = compiled transfers with shared split prefixes;
-    # 'reference' = the interpretive transfer, one box at a time.
-    engine: str = "batched"
 
 
 @dataclass
@@ -265,7 +244,7 @@ class BnBCheckpoint:
 
 
 class _SearchState:
-    """Counters and collections one search accumulates (both engines)."""
+    """Counters and collections one search accumulates."""
 
     __slots__ = ("seq", "explored", "pruned", "rounds", "max_frontier",
                  "complete", "unsupported", "frontier", "leaves")
@@ -334,9 +313,6 @@ class BnBVerifier:
         bounds exactly (deadline termination is wall-clock and outside
         the identity).
         """
-        if config.engine not in ("batched", "reference"):
-            raise ValueError(f"unknown BnB engine {config.engine!r} "
-                             "(expected 'batched' or 'reference')")
         if resume is not None and resume.domain != self.spec.domain:
             raise ValueError(
                 f"checkpoint domain {resume.domain!r} does not match "
@@ -460,7 +436,7 @@ class BnBVerifier:
             domain=self.spec.domain,
         )
 
-    # -- the refinement loop (both engines) -----------------------------
+    # -- the refinement loop ---------------------------------------------
 
     def _search(self, config: BnBConfig, seeds, lower: float,
                 stats: TransferStats, start: float,
@@ -469,26 +445,9 @@ class BnBVerifier:
                 on_checkpoint=None,
                 checkpoint_seconds: float = 0.0) -> BnBResult:
         """Serial best-first refinement: pop the worst box, split it on
-        its widest dimension, absorb left then right.
-
-        The engines differ only in how a box is analyzed: ``batched``
-        runs the compiled transfer and analyzes both children of a split
-        in one unit sharing the parent's abstract prefix; ``reference``
-        bounds each box through the interpretive transfer.
-        """
+        its widest dimension, analyze both children in one unit sharing
+        the parent's abstract prefix, absorb left then right."""
         transfer = self.transfer
-        if config.engine == "batched":
-            analyze_unit = transfer.analyze_unit
-            analyze_split = transfer.analyze_split
-        else:
-            def analyze_unit(box: BitBox):
-                return _analyze_box(transfer, box), None
-
-            def analyze_split(box: BitBox, dim: int):
-                left, right = box.split(dim)
-                return (_analyze_box(transfer, left),
-                        _analyze_box(transfer, right), None)
-
         st = _SearchState()
         frontier = st.frontier
 
@@ -506,7 +465,7 @@ class BnBVerifier:
         else:
             root = transfer.root
             t0 = time.perf_counter()
-            res, op_secs = analyze_unit(root)
+            res, op_secs = transfer.analyze_unit(root)
             account(time.perf_counter() - t0, op_secs)
             push(self._absorb(st, stats, res, root, seeds, lower))
 
@@ -558,7 +517,7 @@ class BnBVerifier:
 
             dim = entry.box.widest_dim()
             t0 = time.perf_counter()
-            l_res, r_res, op_secs = analyze_split(entry.box, dim)
+            l_res, r_res, op_secs = transfer.analyze_split(entry.box, dim)
             account(time.perf_counter() - t0, op_secs)
             left, right = entry.box.split(dim)
             push(self._absorb(st, stats, l_res, left, seeds, lower))

@@ -1,11 +1,13 @@
-"""Translate-once compilation of the interval abstract interpreter.
+"""The interval domain's per-opcode transfer functions, compiled once.
 
 :func:`compile_transfer` lowers a :class:`~repro.x86.program.Program`
 into a list of per-instruction *transfer closures* — the abstract-domain
 analogue of :mod:`repro.x86.vector`'s vectorize-once design.  Operand
 shapes are resolved and immediates decoded exactly once per program, so
 analyzing a box is a plain loop over prebound closures instead of an
-opcode/isinstance dispatch per instruction per box.
+opcode/isinstance dispatch per instruction per box.  This module owns
+every opcode's abstract semantics; :mod:`repro.verify.interval`
+supplies the domain (values, state, directed-rounding arithmetic).
 
 Each compiled step also records which *dimension storage keys* it can
 read or write: ``('x', i)`` for XMM register ``i`` and the coarse key
@@ -22,12 +24,13 @@ too — a clobber of the dimension's register must invalidate the shared
 prefix, otherwise re-applying the right child's input after the
 snapshot would resurrect a dead input.
 
-The closures replicate :func:`repro.verify.interval._exec_interval`
-bit-for-bit, including operand evaluation order, error messages, and
-``TransferStats`` accounting; compile-time-detectable unsupported forms
-become closures that raise at *run* time so failure timing matches the
-interpretive path.  ``tests/verify/test_transfer_compile.py`` pins the
-equivalence differentially.
+Opcodes and operand forms outside the fragment compile to closures that
+raise :class:`~repro.verify.interval.IntervalUnsupported` when run.
+Soundness is checked against the emulator's concrete semantics
+(``tests/verify/test_containment.py``): concrete runs at leaf corners
+and interior points must land inside the abstract outputs, on the
+shipped kernels and on generated programs that exercise every opcode
+in :data:`_COMPILERS`.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple, Union
 
 from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
 from repro.x86.program import Program
-from repro.x86.scalar import cvtsi2sd32, cvtsi2sd64, u2d, u2f
+from repro.x86.scalar import cvtsi2sd32, cvtsi2sd64, d2u, sint64, u2d, u2f
 
 from repro.verify.interval import (
     _ARITH_D,
@@ -52,13 +55,13 @@ from repro.verify.interval import (
     M32,
     M64,
     TOP,
+    _MAX_FINITE_BITS,
+    _decide_cmov,
     _down,
     _down32,
-    _exec_cmov,
-    _exec_int_binop,
-    _exec_shift,
-    _half_of_pattern,
-    _pattern_of_half,
+    _int_and,
+    _int_or,
+    _require_signed64,
     _rounded_int,
     _round_half_even,
     _up,
@@ -259,6 +262,182 @@ def _halves_reader(operand):
 
 
 # --------------------------------------------------------------------------
+# GP integer / bit-level transfers.  Operand shapes are checked per
+# run, not at compile time, so concrete and widened data share one
+# body per opcode family.
+
+
+def _pattern_of_half(state: "_IntervalState", half: "_Half"
+                     ) -> Union[int, IntInterval]:
+    """Bit pattern of an XMM half, for ``movq xmm -> gp`` extraction.
+
+    Degenerate data evaluates concretely; widened finite positive
+    doubles map monotonically to a pattern interval.  Only genuinely
+    unrepresentable lanes (TOP, mixed-sign or non-finite intervals,
+    packed singles) raise.
+    """
+    if half.kind == "bits":
+        state.stats.concrete_bit_ops += 1
+        return half.value
+    if half.kind == "f64":
+        interval = half.value
+        if interval is TOP:
+            raise IntervalUnsupported("bit extraction from unbounded lane")
+        if interval.lo == interval.hi:
+            state.stats.concrete_bit_ops += 1
+            return d2u(interval.lo)
+        if interval.lo >= 0.0 and math.isfinite(interval.hi):
+            # u2d is monotone on finite non-negative patterns.
+            state.stats.widened_bit_ops += 1
+            return IntInterval(d2u(interval.lo), d2u(interval.hi))
+        raise IntervalUnsupported(
+            "bit extraction from a mixed-sign or non-finite interval")
+    raise IntervalUnsupported("bit extraction from a widened GP lane")
+
+
+def _half_of_pattern(state: "_IntervalState",
+                     value: Union[int, IntInterval, str]) -> "_Half":
+    """``movq gp -> xmm`` reinjection of a (possibly widened) pattern."""
+    if value is TOP:
+        raise IntervalUnsupported("bit injection from an unknown register")
+    if isinstance(value, int):
+        state.stats.concrete_bit_ops += 1
+        return _Half.bits(value)
+    if value.lo >= 0 and value.hi <= _MAX_FINITE_BITS:
+        state.stats.widened_bit_ops += 1
+        return _Half("f64", IntervalD(u2d(value.lo), u2d(value.hi)))
+    raise IntervalUnsupported(
+        "bit injection of a signed or non-finite pattern interval")
+
+
+def _gp_join(state: "_IntervalState", a, b) -> Union[IntInterval, str]:
+    """Hull of two GP abstract values (for undecided conditional moves)."""
+    if a is TOP or b is TOP:
+        return TOP
+    ia = a if isinstance(a, IntInterval) else IntInterval(sint64(a), sint64(a))
+    ib = b if isinstance(b, IntInterval) else IntInterval(sint64(b), sint64(b))
+    return IntInterval(min(ia.lo, ib.lo), max(ia.hi, ib.hi))
+
+
+def _exec_int_binop(state: "_IntervalState", name: str, ops) -> None:
+    src_op, dst_op = ops
+    if name == "xor" and isinstance(src_op, (Reg64, Reg32)) \
+            and isinstance(dst_op, (Reg64, Reg32)) \
+            and src_op.index == dst_op.index:
+        # Idiomatic zeroing works even on unknown data.
+        state.set_gp(dst_op, 0)
+        return
+    a = state.gp_operand(dst_op)
+    b = state.gp_operand(src_op) if not isinstance(src_op, Mem) else TOP
+    if isinstance(src_op, Mem):
+        raise IntervalUnsupported("integer ALU with memory operand")
+    if isinstance(a, int) and isinstance(b, int):
+        # Concrete data: exact pattern semantics (mirrors opcodes.py).
+        mask = M32 if isinstance(dst_op, Reg32) else M64
+        a &= mask
+        b &= mask
+        if name == "add":
+            result = (a + b) & mask
+        elif name == "sub":
+            result = (a - b) & mask
+        elif name == "imul":
+            result = (a * b) & mask
+        elif name == "and":
+            result = a & b
+        elif name == "or":
+            result = a | b
+        else:  # xor
+            result = a ^ b
+        state.stats.concrete_bit_ops += 1
+        state.set_gp(dst_op, result)
+        return
+    if a is TOP or b is TOP:
+        state.set_gp(dst_op, TOP)
+        return
+    if isinstance(dst_op, Reg32):
+        raise IntervalUnsupported("widened 32-bit integer ALU op")
+    ia = state.gp_signed(dst_op)
+    ib = state.gp_signed(src_op)
+    state.stats.widened_bit_ops += 1
+    if name == "add":
+        state.set_gp(dst_op, _require_signed64(ia.lo + ib.lo, ia.hi + ib.hi))
+    elif name == "sub":
+        state.set_gp(dst_op, _require_signed64(ia.lo - ib.hi, ia.hi - ib.lo))
+    elif name == "imul":
+        corners = [ia.lo * ib.lo, ia.lo * ib.hi, ia.hi * ib.lo, ia.hi * ib.hi]
+        state.set_gp(dst_op, _require_signed64(min(corners), max(corners)))
+    elif name == "and":
+        state.set_gp(dst_op, _int_and(ia, ib))
+    elif name == "or":
+        state.set_gp(dst_op, _int_or(ia, ib))
+    else:
+        raise IntervalUnsupported(f"widened {name} outside the bit fragment")
+
+
+def _exec_shift(state: "_IntervalState", name: str, ops) -> None:
+    imm, dst_op = ops
+    if not isinstance(imm, Imm):
+        raise IntervalUnsupported("register-count shift")
+    width = 32 if isinstance(dst_op, Reg32) else 64
+    n = imm.value & (width - 1)
+    value = state.gp_operand(dst_op)
+    if value is TOP:
+        state.set_gp(dst_op, TOP)
+        return
+    if isinstance(value, int):
+        # Concrete pattern semantics, mirroring opcodes.py.
+        mask = M32 if width == 32 else M64
+        a = value & mask
+        if name == "shl":
+            result = (a << n) & mask
+        elif name == "shr":
+            result = a >> n
+        else:  # sar
+            sign = a >> (width - 1)
+            signed = a - (1 << width) if sign else a
+            result = (signed >> n) & mask
+        state.stats.concrete_bit_ops += 1
+        state.set_gp(dst_op, result)
+        return
+    if width == 32:
+        raise IntervalUnsupported("widened 32-bit shift")
+    state.stats.widened_bit_ops += 1
+    if name == "sar":
+        # Python's >> is arithmetic and monotone for any sign.
+        state.set_gp(dst_op, IntInterval(value.lo >> n, value.hi >> n))
+        return
+    if value.lo < 0:
+        raise IntervalUnsupported(f"{name} of a signed pattern interval")
+    if name == "shl":
+        state.set_gp(dst_op,
+                     _require_signed64(value.lo << n, value.hi << n))
+    else:  # shr of non-negative values == sar
+        state.set_gp(dst_op, IntInterval(value.lo >> n, value.hi >> n))
+
+
+def _exec_cmov(state: "_IntervalState", cc: str, ops) -> None:
+    src_op, dst_op = ops
+    decision = _decide_cmov(cc, state.cmp)
+    if decision is True:
+        state.stats.concrete_bit_ops += 1
+        state.set_gp(dst_op, state.gp_operand(src_op))
+        return
+    if decision is False:
+        state.stats.concrete_bit_ops += 1
+        if isinstance(dst_op, Reg32):
+            current = state.gp[dst_op.index]
+            if not isinstance(current, int):
+                raise IntervalUnsupported("widened 32-bit cmov destination")
+            state.gp[dst_op.index] = current & M32
+        return
+    if isinstance(dst_op, Reg32):
+        raise IntervalUnsupported("undecided 32-bit cmov")
+    state.stats.widened_bit_ops += 1
+    state.set_gp(dst_op, _gp_join(state, state.gp[dst_op.index],
+                                  state.gp_operand(src_op)))
+
+
+# --------------------------------------------------------------------------
 # Per-opcode compilers
 
 _SD = {"addsd": "add", "subsd": "sub", "mulsd": "mul", "divsd": "div",
@@ -434,7 +613,7 @@ def _compile_movsd(instr):
 
         def step(state, m=dst):
             value = state.xmm[si][0].as_f64()
-            state.mem_stores[state.addr(m)] = ("f64", value)
+            state.store(state.addr(m), "f64", value)
 
         return step, frozenset({_x(si), MEM_KEY})
     if isinstance(src, Mem):
@@ -460,7 +639,7 @@ def _compile_movss(instr):
 
         def step(state, m=dst):
             value = state.xmm[si][0].lane(0)
-            state.mem_stores[state.addr(m)] = ("f32", value)
+            state.store(state.addr(m), "f32", value)
 
         return step, frozenset({_x(si), MEM_KEY})
     if isinstance(src, Mem):
@@ -539,7 +718,7 @@ def _compile_movq(instr):
 
         def step(state, m=dst):
             value = state.xmm[si][0].as_f64()
-            state.mem_stores[state.addr(m)] = ("f64", value)
+            state.store(state.addr(m), "f64", value)
 
         return step, frozenset({_x(si), MEM_KEY})
     if isinstance(dst, Reg64) and isinstance(src, Xmm):
@@ -872,8 +1051,9 @@ def _compile_instr(instr):
         if name.startswith("cmov"):
             compiler = _compile_cmov
         else:
-            # Outside the fragment: fail at run time with the
-            # interpretive dispatcher's message.
+            # Outside the fragment: fail at run time, so the failure
+            # is a per-box result (an infinite bound), not an error
+            # building the transfer.
             return _raising(f"opcode {name} outside the "
                             "interval-analyzable fragment"), _NO_TOUCH
     return compiler(instr)

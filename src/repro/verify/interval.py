@@ -21,6 +21,16 @@ Two lessons from the E11 unsoundness post-mortem are baked in here:
   transfers when widened; only genuinely unrepresentable GP lanes raise
   :class:`IntervalUnsupported`.  Both outcomes are counted in
   :class:`TransferStats` / :class:`IntervalBound`.
+
+This module holds the abstract domain itself (values, machine state,
+directed-rounding arithmetic) and :class:`IntervalTransfer`, which maps
+a box of inputs to a bound.  The per-opcode transfer functions live in
+:mod:`repro.verify.compile`, which lowers each program once into
+prebound closures; each opcode's abstract semantics is written once,
+there.  Their soundness oracle is the emulator's concrete semantics:
+``tests/verify/test_containment.py`` runs leaf corners and interior
+points on the emulator and requires every concrete live-out to lie in
+the abstract output.
 """
 
 from __future__ import annotations
@@ -35,17 +45,10 @@ import numpy as np
 from repro.fp.ulp import ulp_distance, ulp_distance_single
 from repro.x86.locations import Loc, MemLoc
 from repro.x86.memory import Memory
-from repro.x86.operands import Imm, Mem, Reg32, Reg64, Xmm
+from repro.x86.operands import Imm, Mem, Reg32, Reg64
 from repro.x86.program import Program
 from repro.x86.registers import XMM_INDEX
-from repro.x86.scalar import (
-    cvtsi2sd32,
-    cvtsi2sd64,
-    d2u,
-    sint64,
-    u2d,
-    u2f,
-)
+from repro.x86.scalar import sint64, u2d, u2f
 
 from repro.core.runner import Location, resolve_locations
 from repro.verify.partition import BitBox, Dim, dims_of, full_box
@@ -189,21 +192,16 @@ class _Arith:
                          self.round_up(a.hi - b.lo))
 
     def mul(self, a: IntervalD, b: IntervalD) -> IntervalD:
-        # Endpoint products with IEEE NaNs (0 * inf) treated as 0,
-        # unrolled — this is the hottest arithmetic in the transfer and
-        # the list comprehensions it replaces dominated its profile.
+        # Endpoint products, unrolled — this is the hottest arithmetic
+        # in the transfer and the list comprehensions it replaces
+        # dominated its profile.  A NaN product (0 * inf) means a
+        # concrete NaN is reachable, which no interval can hold.
         p0 = a.lo * b.lo
         p1 = a.lo * b.hi
         p2 = a.hi * b.lo
         p3 = a.hi * b.hi
-        if p0 != p0:
-            p0 = 0.0
-        if p1 != p1:
-            p1 = 0.0
-        if p2 != p2:
-            p2 = 0.0
-        if p3 != p3:
-            p3 = 0.0
+        if p0 != p0 or p1 != p1 or p2 != p2 or p3 != p3:
+            raise IntervalUnsupported("0 * inf in an interval product")
         return IntervalD(self.round_down(min(p0, p1, p2, p3)),
                          self.round_up(max(p0, p1, p2, p3)))
 
@@ -214,6 +212,8 @@ class _Arith:
         q1 = a.lo / b.hi
         q2 = a.hi / b.lo
         q3 = a.hi / b.hi
+        if q0 != q0 or q1 != q1 or q2 != q2 or q3 != q3:
+            raise IntervalUnsupported("inf / inf in an interval quotient")
         return IntervalD(self.round_down(min(q0, q1, q2, q3)),
                          self.round_up(max(q0, q1, q2, q3)))
 
@@ -223,19 +223,22 @@ class _Arith:
         return IntervalD(self.round_down(math.sqrt(a.lo)),
                          self.round_up(math.sqrt(a.hi)))
 
+    # min/max return the source ``b`` when either operand is NaN, and
+    # ``[-inf, inf]`` is the one interval that admits a NaN.
+
     def min(self, a: IntervalD, b: IntervalD) -> IntervalD:
+        if b.lo == -math.inf and b.hi == math.inf:
+            return b
         return IntervalD(min(a.lo, b.lo), min(a.hi, b.hi))
 
     def max(self, a: IntervalD, b: IntervalD) -> IntervalD:
+        if b.lo == -math.inf and b.hi == math.inf:
+            return b
         return IntervalD(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 _ARITH_D = _Arith(single=False)
 _ARITH_F = _Arith(single=True)
-
-_OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div",
-        "min": "min", "max": "max"}
-
 
 class _Half:
     """One 64-bit XMM half: a double interval, two single-lane values,
@@ -243,8 +246,8 @@ class _Half:
 
     Instances are immutable once built (``with_lane`` returns a new
     half), so compiled transfer plans share them freely across boxes;
-    ``_f64`` memoizes the bits -> point-interval decode that dominated
-    the interpretive profile.
+    ``_f64`` memoizes the bits -> point-interval decode, which is paid
+    once per constant rather than once per box.
     """
 
     __slots__ = ("kind", "value", "_f64")
@@ -295,6 +298,9 @@ class _Half:
 
 
 _TOP_HALF = _Half("top", None)
+
+# Bytes covered by a recorded memory store, by kind.
+_STORE_WIDTH = {"f64": 8, "f32": 4}
 
 
 class _IntervalState:
@@ -381,11 +387,30 @@ class _IntervalState:
             raise IntervalUnsupported("widened 32-bit GP destination")
         raise IntervalUnsupported(f"GP destination {operand!r}")
 
+    def store(self, addr: int, kind: str, value) -> None:
+        """Record an ``'f64'``/``'f32'`` store.  Stored entries it partly
+        overwrites become unknown, keeping their width."""
+        stores = self.mem_stores
+        end = addr + _STORE_WIDTH[kind]
+        for other, (other_kind, _) in list(stores.items()):
+            if other != addr and other < end \
+                    and addr < other + _STORE_WIDTH[other_kind]:
+                stores[other] = (other_kind, TOP)
+        old = stores.get(addr)
+        if old is not None and _STORE_WIDTH[old[0]] > _STORE_WIDTH[kind]:
+            # A single over the low half of a stored double.
+            stores.setdefault(addr + 4, ("f32", TOP))
+        stores[addr] = (kind, value)
+
     def _mem_value(self, addr: int, size: int):
         """('f64'|'f32', interval_or_TOP) or ('bits', int) at an address."""
-        if addr in self.mem_stores:
-            kind, value = self.mem_stores[addr]
-            return kind, value
+        stores = self.mem_stores
+        if addr in stores:
+            return stores[addr]
+        end = addr + size
+        for other, (kind, _) in stores.items():
+            if other < end and addr < other + _STORE_WIDTH[kind]:
+                return "top", None  # partly overwritten by a store
         seg = self.mem._find(addr, size)
         off = addr - seg.base
         if not seg.writable:
@@ -437,103 +462,10 @@ class _IntervalState:
             return IntervalD.point(x)
         return TOP
 
-    # source-value readers used by the transfer functions ------------------
-
-    def src_f64(self, operand) -> Union[IntervalD, str]:
-        if isinstance(operand, Xmm):
-            return self.xmm[operand.index][0].as_f64()
-        if isinstance(operand, Mem):
-            return self.load_f64(self.addr(operand))
-        if isinstance(operand, Imm):
-            x = u2d(operand.value)
-            if math.isnan(x):
-                raise IntervalUnsupported("NaN immediate")
-            return IntervalD.point(x)
-        raise IntervalUnsupported(f"f64 source {operand!r}")
-
-    def src_f32(self, operand) -> Union[IntervalD, str]:
-        if isinstance(operand, Xmm):
-            return self.xmm[operand.index][0].lane(0)
-        if isinstance(operand, Mem):
-            return self.load_f32(self.addr(operand))
-        if isinstance(operand, Imm):
-            x = u2f(operand.value)
-            if math.isnan(x):
-                raise IntervalUnsupported("NaN immediate")
-            return IntervalD.point(x)
-        raise IntervalUnsupported(f"f32 source {operand!r}")
-
-    def src_lanes(self, operand) -> List[Union[IntervalD, str]]:
-        """Four float32 lanes of a 128-bit source."""
-        if isinstance(operand, Xmm):
-            halves = self.xmm[operand.index]
-            return [halves[0].lane(0), halves[0].lane(1),
-                    halves[1].lane(0), halves[1].lane(1)]
-        if isinstance(operand, Mem):
-            addr = self.addr(operand)
-            return [self.load_f32(addr + 4 * lane) for lane in range(4)]
-        raise IntervalUnsupported(f"128-bit source {operand!r}")
-
-    def src_halves_f64(self, operand) -> List[Union[IntervalD, str]]:
-        if isinstance(operand, Xmm):
-            return [h.as_f64() for h in self.xmm[operand.index]]
-        if isinstance(operand, Mem):
-            addr = self.addr(operand)
-            return [self.load_f64(addr), self.load_f64(addr + 8)]
-        raise IntervalUnsupported(f"128-bit source {operand!r}")
-
-
-def _apply(arith: _Arith, name: str, a, b):
-    if a is TOP or b is TOP:
-        return TOP
-    return getattr(arith, name)(a, b)
-
-
 # --------------------------------------------------------------------------
-# GP integer / bit-level transfer helpers
-
-
-def _pattern_of_half(state: "_IntervalState", half: "_Half"
-                     ) -> Union[int, IntInterval]:
-    """Bit pattern of an XMM half, for ``movq xmm -> gp`` extraction.
-
-    Degenerate data evaluates concretely; widened finite positive
-    doubles map monotonically to a pattern interval.  Only genuinely
-    unrepresentable lanes (TOP, mixed-sign or non-finite intervals,
-    packed singles) raise.
-    """
-    if half.kind == "bits":
-        state.stats.concrete_bit_ops += 1
-        return half.value
-    if half.kind == "f64":
-        interval = half.value
-        if interval is TOP:
-            raise IntervalUnsupported("bit extraction from unbounded lane")
-        if interval.lo == interval.hi:
-            state.stats.concrete_bit_ops += 1
-            return d2u(interval.lo)
-        if interval.lo >= 0.0 and math.isfinite(interval.hi):
-            # u2d is monotone on finite non-negative patterns.
-            state.stats.widened_bit_ops += 1
-            return IntInterval(d2u(interval.lo), d2u(interval.hi))
-        raise IntervalUnsupported(
-            "bit extraction from a mixed-sign or non-finite interval")
-    raise IntervalUnsupported("bit extraction from a widened GP lane")
-
-
-def _half_of_pattern(state: "_IntervalState",
-                     value: Union[int, IntInterval, str]) -> "_Half":
-    """``movq gp -> xmm`` reinjection of a (possibly widened) pattern."""
-    if value is TOP:
-        raise IntervalUnsupported("bit injection from an unknown register")
-    if isinstance(value, int):
-        state.stats.concrete_bit_ops += 1
-        return _Half.bits(value)
-    if value.lo >= 0 and value.hi <= _MAX_FINITE_BITS:
-        state.stats.widened_bit_ops += 1
-        return _Half("f64", IntervalD(u2d(value.lo), u2d(value.hi)))
-    raise IntervalUnsupported(
-        "bit injection of a signed or non-finite pattern interval")
+# GP integer / bit-level helpers shared by the compiled transfers
+# (repro.verify.compile) and the paired evaluator
+# (repro.verify.relational.diffbound)
 
 
 def _require_signed64(lo: int, hi: int) -> IntInterval:
@@ -615,15 +547,6 @@ def _decide_cmov(cc: str, cmp: Optional[Tuple[object, object]]
     return None
 
 
-def _gp_join(state: "_IntervalState", a, b) -> Union[IntInterval, str]:
-    """Hull of two GP abstract values (for undecided conditional moves)."""
-    if a is TOP or b is TOP:
-        return TOP
-    ia = a if isinstance(a, IntInterval) else IntInterval(sint64(a), sint64(a))
-    ib = b if isinstance(b, IntInterval) else IntInterval(sint64(b), sint64(b))
-    return IntInterval(min(ia.lo, ib.lo), max(ia.hi, ib.hi))
-
-
 def _rounded_int(x: float, rounder) -> int:
     if not math.isfinite(x):
         raise IntervalUnsupported("f64 -> int conversion of non-finite value")
@@ -641,444 +564,6 @@ def _round_half_even(x: float) -> int:
     return floor
 
 
-def _exec_int_binop(state: "_IntervalState", name: str, ops) -> None:
-    src_op, dst_op = ops
-    if name == "xor" and isinstance(src_op, (Reg64, Reg32)) \
-            and isinstance(dst_op, (Reg64, Reg32)) \
-            and src_op.index == dst_op.index:
-        # Idiomatic zeroing works even on unknown data.
-        state.set_gp(dst_op, 0)
-        return
-    a = state.gp_operand(dst_op)
-    b = state.gp_operand(src_op) if not isinstance(src_op, Mem) else TOP
-    if isinstance(src_op, Mem):
-        raise IntervalUnsupported("integer ALU with memory operand")
-    if isinstance(a, int) and isinstance(b, int):
-        # Concrete data: exact pattern semantics (mirrors opcodes.py).
-        mask = M32 if isinstance(dst_op, Reg32) else M64
-        a &= mask
-        b &= mask
-        if name == "add":
-            result = (a + b) & mask
-        elif name == "sub":
-            result = (a - b) & mask
-        elif name == "imul":
-            result = (a * b) & mask
-        elif name == "and":
-            result = a & b
-        elif name == "or":
-            result = a | b
-        else:  # xor
-            result = a ^ b
-        state.stats.concrete_bit_ops += 1
-        state.set_gp(dst_op, result)
-        return
-    if a is TOP or b is TOP:
-        state.set_gp(dst_op, TOP)
-        return
-    if isinstance(dst_op, Reg32):
-        raise IntervalUnsupported("widened 32-bit integer ALU op")
-    ia = state.gp_signed(dst_op)
-    ib = state.gp_signed(src_op)
-    state.stats.widened_bit_ops += 1
-    if name == "add":
-        state.set_gp(dst_op, _require_signed64(ia.lo + ib.lo, ia.hi + ib.hi))
-    elif name == "sub":
-        state.set_gp(dst_op, _require_signed64(ia.lo - ib.hi, ia.hi - ib.lo))
-    elif name == "imul":
-        corners = [ia.lo * ib.lo, ia.lo * ib.hi, ia.hi * ib.lo, ia.hi * ib.hi]
-        state.set_gp(dst_op, _require_signed64(min(corners), max(corners)))
-    elif name == "and":
-        state.set_gp(dst_op, _int_and(ia, ib))
-    elif name == "or":
-        state.set_gp(dst_op, _int_or(ia, ib))
-    else:
-        raise IntervalUnsupported(f"widened {name} outside the bit fragment")
-
-
-def _exec_shift(state: "_IntervalState", name: str, ops) -> None:
-    imm, dst_op = ops
-    if not isinstance(imm, Imm):
-        raise IntervalUnsupported("register-count shift")
-    width = 32 if isinstance(dst_op, Reg32) else 64
-    n = imm.value & (width - 1)
-    value = state.gp_operand(dst_op)
-    if value is TOP:
-        state.set_gp(dst_op, TOP)
-        return
-    if isinstance(value, int):
-        # Concrete pattern semantics, mirroring opcodes.py.
-        mask = M32 if width == 32 else M64
-        a = value & mask
-        if name == "shl":
-            result = (a << n) & mask
-        elif name == "shr":
-            result = a >> n
-        else:  # sar
-            sign = a >> (width - 1)
-            signed = a - (1 << width) if sign else a
-            result = (signed >> n) & mask
-        state.stats.concrete_bit_ops += 1
-        state.set_gp(dst_op, result)
-        return
-    if width == 32:
-        raise IntervalUnsupported("widened 32-bit shift")
-    state.stats.widened_bit_ops += 1
-    if name == "sar":
-        # Python's >> is arithmetic and monotone for any sign.
-        state.set_gp(dst_op, IntInterval(value.lo >> n, value.hi >> n))
-        return
-    if value.lo < 0:
-        raise IntervalUnsupported(f"{name} of a signed pattern interval")
-    if name == "shl":
-        state.set_gp(dst_op,
-                     _require_signed64(value.lo << n, value.hi << n))
-    else:  # shr of non-negative values == sar
-        state.set_gp(dst_op, IntInterval(value.lo >> n, value.hi >> n))
-
-
-def _exec_cmov(state: "_IntervalState", cc: str, ops) -> None:
-    src_op, dst_op = ops
-    decision = _decide_cmov(cc, state.cmp)
-    if decision is True:
-        state.stats.concrete_bit_ops += 1
-        state.set_gp(dst_op, state.gp_operand(src_op))
-        return
-    if decision is False:
-        state.stats.concrete_bit_ops += 1
-        if isinstance(dst_op, Reg32):
-            current = state.gp[dst_op.index]
-            if not isinstance(current, int):
-                raise IntervalUnsupported("widened 32-bit cmov destination")
-            state.gp[dst_op.index] = current & M32
-        return
-    if isinstance(dst_op, Reg32):
-        raise IntervalUnsupported("undecided 32-bit cmov")
-    state.stats.widened_bit_ops += 1
-    state.set_gp(dst_op, _gp_join(state, state.gp[dst_op.index],
-                                  state.gp_operand(src_op)))
-
-
-def _exec_interval(state: _IntervalState, instr) -> None:
-    name = instr.opcode
-    ops = instr.operands
-    if name == "nop":
-        return
-
-    sd = {"addsd": "add", "subsd": "sub", "mulsd": "mul", "divsd": "div",
-          "minsd": "min", "maxsd": "max"}
-    if name in sd:
-        src = state.src_f64(ops[0])
-        dst = state.xmm[ops[1].index]
-        dst[0] = _Half("f64", _apply(_ARITH_D, sd[name], dst[0].as_f64(), src))
-        return
-    if name == "sqrtsd":
-        src = state.src_f64(ops[0])
-        value = TOP if src is TOP else _ARITH_D.sqrt(src)
-        state.xmm[ops[1].index][0] = _Half("f64", value)
-        return
-
-    ss = {"addss": "add", "subss": "sub", "mulss": "mul", "divss": "div",
-          "minss": "min", "maxss": "max"}
-    if name in ss:
-        src = state.src_f32(ops[0])
-        dst = state.xmm[ops[1].index]
-        result = _apply(_ARITH_F, ss[name], dst[0].lane(0), src)
-        dst[0] = dst[0].with_lane(0, result)
-        return
-    if name == "sqrtss":
-        src = state.src_f32(ops[0])
-        value = TOP if src is TOP else _ARITH_F.sqrt(src)
-        dst = state.xmm[ops[1].index]
-        dst[0] = dst[0].with_lane(0, value)
-        return
-
-    avx_sd = {"vaddsd": "add", "vsubsd": "sub", "vmulsd": "mul",
-              "vdivsd": "div", "vminsd": "min", "vmaxsd": "max"}
-    if name in avx_sd:
-        s1 = state.src_f64(ops[0])
-        s2 = state.xmm[ops[1].index]
-        result = _apply(_ARITH_D, avx_sd[name], s2[0].as_f64(), s1)
-        state.xmm[ops[2].index] = [_Half("f64", result), s2[1]]
-        return
-
-    avx_ss = {"vaddss": "add", "vsubss": "sub", "vmulss": "mul",
-              "vdivss": "div"}
-    if name in avx_ss:
-        s1 = state.src_f32(ops[0])
-        s2 = state.xmm[ops[1].index]
-        result = _apply(_ARITH_F, avx_ss[name], s2[0].lane(0), s1)
-        state.xmm[ops[2].index] = [s2[0].with_lane(0, result), s2[1]]
-        return
-
-    pd = {"addpd": "add", "subpd": "sub", "mulpd": "mul", "divpd": "div"}
-    if name in pd:
-        src = state.src_halves_f64(ops[0])
-        dst = state.xmm[ops[1].index]
-        for half in (0, 1):
-            dst[half] = _Half(
-                "f64", _apply(_ARITH_D, pd[name], dst[half].as_f64(),
-                              src[half]))
-        return
-
-    ps = {"addps": "add", "subps": "sub", "mulps": "mul", "divps": "div"}
-    if name in ps:
-        src = state.src_lanes(ops[0])
-        dst = state.xmm[ops[1].index]
-        lanes = [dst[0].lane(0), dst[0].lane(1), dst[1].lane(0),
-                 dst[1].lane(1)]
-        out = [_apply(_ARITH_F, ps[name], lanes[j], src[j]) for j in range(4)]
-        dst[0] = _Half("f32pair", (out[0], out[1]))
-        dst[1] = _Half("f32pair", (out[2], out[3]))
-        return
-
-    fma = {"vfmadd132sd": "132", "vfmadd213sd": "213", "vfmadd231sd": "231"}
-    if name in fma:
-        o1 = state.src_f64(ops[0])
-        o2 = state.xmm[ops[1].index][0].as_f64()
-        dst = state.xmm[ops[2].index]
-        d = dst[0].as_f64()
-        order = fma[name]
-        if order == "132":
-            prod, addend = _apply(_ARITH_D, "mul", d, o1), o2
-        elif order == "213":
-            prod, addend = _apply(_ARITH_D, "mul", o2, d), o1
-        else:
-            prod, addend = _apply(_ARITH_D, "mul", o2, o1), d
-        # A fused result is at least as accurate as the two-op interval.
-        dst[0] = _Half("f64", _apply(_ARITH_D, "add", prod, addend))
-        return
-
-    if name == "movsd":
-        src, dst = ops
-        if isinstance(dst, Mem):
-            value = state.xmm[src.index][0].as_f64()
-            state.mem_stores[state.addr(dst)] = ("f64", value)
-        elif isinstance(src, Mem):
-            state.xmm[dst.index] = [state.load_half64(state.addr(src)),
-                                    _Half.bits(0)]
-        else:
-            state.xmm[dst.index][0] = state.xmm[src.index][0]
-        return
-
-    if name == "movss":
-        src, dst = ops
-        if isinstance(dst, Mem):
-            value = state.xmm[src.index][0].lane(0)
-            state.mem_stores[state.addr(dst)] = ("f32", value)
-        elif isinstance(src, Mem):
-            value = state.load_f32(state.addr(src))
-            state.xmm[dst.index] = [
-                _Half("f32pair", (value, IntervalD.point(0.0))),
-                _Half.bits(0),
-            ]
-        else:
-            value = state.xmm[src.index][0].lane(0)
-            state.xmm[dst.index][0] = state.xmm[dst.index][0].with_lane(0, value)
-        return
-
-    if name in ("movapd", "movaps", "movdqa", "movups", "movdqu", "lddqu"):
-        src, dst = ops
-        if isinstance(dst, Mem):
-            raise IntervalUnsupported("128-bit store")
-        if isinstance(src, Mem):
-            lanes = state.src_lanes(src)
-            state.xmm[dst.index] = [_Half("f32pair", (lanes[0], lanes[1])),
-                                    _Half("f32pair", (lanes[2], lanes[3]))]
-        else:
-            state.xmm[dst.index] = [
-                state.xmm[src.index][0], state.xmm[src.index][1]
-            ]
-        return
-
-    if name == "movddup":
-        src = state.src_f64(ops[0])
-        state.xmm[ops[1].index] = [_Half("f64", src), _Half("f64", src)]
-        return
-
-    if name == "movq":
-        src, dst = ops
-        if isinstance(dst, Xmm) and isinstance(src, Imm):
-            state.xmm[dst.index] = [_Half.bits(src.value), _Half.bits(0)]
-            return
-        if isinstance(dst, Xmm) and isinstance(src, Mem):
-            state.xmm[dst.index] = [state.load_half64(state.addr(src)),
-                                    _Half.bits(0)]
-            return
-        if isinstance(dst, Mem) and isinstance(src, Xmm):
-            state.mem_stores[state.addr(dst)] = (
-                "f64", state.xmm[src.index][0].as_f64())
-            return
-        if isinstance(dst, Reg64) and isinstance(src, Xmm):
-            # Bit extraction: reinterpret the low double's bit pattern.
-            state.set_gp(dst, _pattern_of_half(state, state.xmm[src.index][0]))
-            return
-        if isinstance(dst, Xmm) and isinstance(src, (Reg64, Reg32)):
-            # Bit injection: reinterpret a GP pattern as the low double.
-            state.xmm[dst.index] = [
-                _half_of_pattern(state, state.gp_operand(src)),
-                _Half.bits(0),
-            ]
-            return
-        raise IntervalUnsupported("movq form outside the FP fragment")
-
-    if name == "movd":
-        src, dst = ops
-        if isinstance(dst, Xmm):
-            if isinstance(src, Imm):
-                bits = src.value & 0xFFFFFFFF
-            elif isinstance(src, (Reg32, Reg64)):
-                value = state.gp[src.index]
-                if not isinstance(value, int):  # TOP or an IntInterval
-                    raise IntervalUnsupported("movd from symbolic register")
-                bits = value & 0xFFFFFFFF
-            else:
-                raise IntervalUnsupported("movd from memory")
-            state.xmm[dst.index] = [_Half.bits(bits), _Half.bits(0)]
-            return
-        raise IntervalUnsupported("movd to GP register")
-
-    if name in ("mov", "movabs"):
-        src, dst = ops
-        if isinstance(dst, (Reg64, Reg32)) and isinstance(src, Imm):
-            mask = M64 if isinstance(dst, Reg64) else M32
-            state.gp[dst.index] = src.value & mask
-            return
-        if isinstance(dst, (Reg64, Reg32)) and isinstance(src, (Reg64, Reg32)):
-            state.set_gp(dst, state.gp_operand(src))
-            return
-        raise IntervalUnsupported("mov form outside the FP fragment")
-
-    if name == "lea":
-        state.gp[ops[1].index] = state.addr(ops[0])
-        return
-
-    if name == "punpckldq":
-        src, dst = ops
-        s = state.src_lanes(src) if not isinstance(src, Mem) else \
-            state.src_lanes(src)
-        d = state.xmm[dst.index]
-        d0, d1 = d[0].lane(0), d[0].lane(1)
-        state.xmm[dst.index] = [_Half("f32pair", (d0, s[0])),
-                                _Half("f32pair", (d1, s[1]))]
-        return
-
-    if name == "unpcklpd":
-        src, dst = ops
-        lo = state.src_f64(src)
-        state.xmm[dst.index][1] = _Half("f64", lo)
-        return
-
-    if name == "unpckhpd":
-        src, dst = ops
-        halves = state.src_halves_f64(src)
-        d = state.xmm[dst.index]
-        state.xmm[dst.index] = [_Half("f64", d[1].as_f64()),
-                                _Half("f64", halves[1])]
-        return
-
-    if name == "cvtss2sd":
-        src = state.src_f32(ops[0])
-        state.xmm[ops[1].index][0] = _Half("f64", src)
-        return
-
-    if name == "cvtsd2ss":
-        src = state.src_f64(ops[0])
-        if src is TOP:
-            value = TOP
-        else:
-            value = IntervalD(_down32(src.lo), _up32(src.hi))
-        dst = state.xmm[ops[1].index]
-        dst[0] = dst[0].with_lane(0, value)
-        return
-
-    # ---- integer / bit-level fragment (libimf exp & log) ----------------
-
-    if name in ("add", "sub", "imul", "and", "or", "xor"):
-        _exec_int_binop(state, name, ops)
-        return
-
-    if name in ("shl", "shr", "sar"):
-        _exec_shift(state, name, ops)
-        return
-
-    if name in ("xorpd", "xorps", "pxor"):
-        src, dst = ops
-        if isinstance(src, Xmm) and src.index == dst.index:
-            state.xmm[dst.index] = [_Half.bits(0), _Half.bits(0)]
-            return
-        raise IntervalUnsupported(f"{name} outside the zeroing idiom")
-
-    if name in ("ucomisd", "ucomiss"):
-        src_op, dst_op = ops
-        if name == "ucomisd":
-            src = state.src_f64(src_op)
-            dst = state.xmm[dst_op.index][0].as_f64()
-        else:
-            src = state.src_f32(src_op)
-            dst = state.xmm[dst_op.index][0].lane(0)
-        state.cmp = (dst, src)
-        return
-
-    if name in ("cmp", "test"):
-        # GP flags: unknown to this domain; cmovs after this must join.
-        state.cmp = None
-        return
-
-    if name.startswith("cmov"):
-        _exec_cmov(state, name[4:], ops)
-        return
-
-    if name in ("cvtsd2si", "cvttsd2si"):
-        src_op, dst_op = ops
-        if not isinstance(dst_op, Reg64):
-            raise IntervalUnsupported(f"32-bit {name} destination")
-        src = state.src_f64(src_op)
-        if src is TOP:
-            state.set_gp(dst_op, TOP)
-            return
-        rounder = _round_half_even if name == "cvtsd2si" else math.trunc
-        lo = _rounded_int(src.lo, rounder)
-        hi = _rounded_int(src.hi, rounder)
-        if lo == hi:
-            state.stats.concrete_bit_ops += 1
-            state.set_gp(dst_op, lo & M64)
-        else:
-            # Both rounding modes are monotone, so endpoint images bound
-            # every image in between.
-            state.stats.widened_bit_ops += 1
-            state.set_gp(dst_op, IntInterval(lo, hi))
-        return
-
-    if name == "cvtsi2sd":
-        src_op, dst_op = ops
-        if isinstance(src_op, Mem):
-            raise IntervalUnsupported("cvtsi2sd from memory")
-        value = state.gp_operand(src_op)
-        if value is TOP:
-            state.xmm[dst_op.index][0] = _Half("f64", TOP)
-            return
-        if isinstance(value, int):
-            state.stats.concrete_bit_ops += 1
-            bits = cvtsi2sd64(value) if isinstance(src_op, Reg64) \
-                else cvtsi2sd32(value)
-            state.xmm[dst_op.index][0] = _Half.bits(bits)
-            return
-        state.stats.widened_bit_ops += 1
-        lo, hi = float(value.lo), float(value.hi)
-        # float(int) rounds to nearest; push outward unless exact.
-        if int(lo) != value.lo:
-            lo = _down(lo)
-        if int(hi) != value.hi:
-            hi = _up(hi)
-        state.xmm[dst_op.index][0] = _Half("f64", IntervalD(lo, hi))
-        return
-
-    raise IntervalUnsupported(
-        f"opcode {name} outside the interval-analyzable fragment"
-    )
-
-
 def _apply_reg_input(state: _IntervalState, loc: Loc, kind: str,
                      interval: IntervalD) -> None:
     idx = XMM_INDEX[loc.reg]
@@ -1088,18 +573,6 @@ def _apply_reg_input(state: _IntervalState, loc: Loc, kind: str,
         half = state.xmm[idx][loc.lane // 2]
         state.xmm[idx][loc.lane // 2] = half.with_lane(loc.lane % 2,
                                                        interval)
-
-
-def _run_interval(program: Program, mem: Memory,
-                  concrete_gp: Dict[int, int],
-                  mem_inputs, reg_inputs,
-                  stats: Optional[TransferStats] = None) -> _IntervalState:
-    state = _IntervalState(mem, concrete_gp, mem_inputs, stats)
-    for loc, (kind, interval) in reg_inputs.items():
-        _apply_reg_input(state, loc, kind, interval)
-    for instr in program.slots:
-        _exec_interval(state, instr)
-    return state
 
 
 class _StateSnapshot:
@@ -1137,16 +610,10 @@ class _StateSnapshot:
 
 def _read_output(state: _IntervalState, loc: Location):
     if isinstance(loc, MemLoc):
-        seg = state.mem.segment(loc.segment)
-        addr = seg.base + loc.offset
-        kind, value = state.mem_stores.get(addr, (None, None))
-        if kind is None:
-            kind2, raw = state._mem_value(addr, loc.width // 8)
-            if kind2 == "bits":
-                x = u2d(raw) if loc.ftype == "f64" else u2f(raw)
-                return IntervalD.point(x)
-            return raw if raw is not None else TOP
-        return value
+        addr = state.mem.segment(loc.segment).base + loc.offset
+        if loc.ftype == "f64":
+            return state.load_f64(addr)
+        return state.load_f32(addr)
     xmm = state.xmm[XMM_INDEX[loc.reg]]
     if loc.ftype == "f64":
         return xmm[loc.lane].as_f64()
@@ -1165,7 +632,7 @@ def _interval_ulp_pair(loc: Location, a, b) -> float:
 # memory key plus ('x', xmm_index) per register.
 _MEM_KEY = "mem"
 
-# A unit result as shipped between engine and workers:
+# A unit result as the BnB search absorbs it:
 # (bound, per_loc_or_None, (boxes, concrete, widened), error_or_None).
 UnitResult = Tuple[float, Optional[Dict[str, float]],
                    Tuple[int, int, int], Optional[str]]
@@ -1197,10 +664,8 @@ class IntervalTransfer:
 
     Construction compiles both programs once into per-instruction
     transfer closures (:mod:`repro.verify.compile`); analyzing a box is
-    then a plain loop over prebound closures.  The original dispatching
-    interpreter survives as :meth:`analyze_interpretive` — the reference
-    engine and the differential tests run both paths and demand
-    identical bounds, stats, and error strings.
+    then a plain loop over prebound closures (:meth:`_run`, which the
+    relational domain overrides to execute a shared prefix once).
     """
 
     def __init__(self, target: Program, rewrite: Program,
@@ -1263,6 +728,17 @@ class IntervalTransfer:
             _apply_reg_input(state, loc, kind, interval)
         return state
 
+    def _run(self, mem_inputs, reg_inputs, stats: TransferStats
+             ) -> Tuple[_IntervalState, _IntervalState]:
+        """Final (target, rewrite) abstract states over one box."""
+        states = []
+        for plan in self._plans:
+            state = self._fresh_state(mem_inputs, reg_inputs, stats)
+            for fn in plan.steps:
+                fn(state)
+            states.append(state)
+        return states[0], states[1]
+
     def _outputs(self, t_state: _IntervalState, r_state: _IntervalState,
                  inputs=None):
         """Sound (total, per-live-out) ULP bounds from two final states.
@@ -1282,30 +758,16 @@ class IntervalTransfer:
             total += bound
         return total, per_loc
 
-    # -- compiled path -----------------------------------------------------
+    # -- analysis ----------------------------------------------------------
 
     def analyze(self, box: BitBox) -> Tuple[float, Dict[str, float]]:
-        return self.analyze_values(box.value_box(self.dims))
-
-    def analyze_values(
-        self, value_box: Sequence[Tuple[float, float]]
-    ) -> Tuple[float, Dict[str, float]]:
-        """Sound (bound, per-live-out bounds) over a closed value box.
+        """Sound (bound, per-live-out bounds) over one box.
 
         Accumulates into :attr:`stats` on success (the checker's
         accounting contract).
         """
         t0 = time.perf_counter()
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(value_box)
-        states = []
-        for plan in self._plans:
-            state = self._fresh_state(mem_inputs, reg_inputs, stats)
-            for fn in plan.steps:
-                fn(state)
-            states.append(state)
-        total, per_loc = self._outputs(states[0], states[1],
-                                       (mem_inputs, reg_inputs))
+        total, per_loc, stats = self.analyze_with_stats(box)
         stats.op_counts = dict(self.op_histogram)
         stats.transfer_seconds = time.perf_counter() - t0
         self.stats.merge(stats)
@@ -1314,43 +776,14 @@ class IntervalTransfer:
     def analyze_with_stats(
         self, box: BitBox
     ) -> Tuple[float, Dict[str, float], TransferStats]:
-        """Compiled analysis with a private stats object (no merge)."""
+        """Analysis with a private stats object (no merge)."""
         stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(box.value_box(self.dims))
-        states = []
-        for plan in self._plans:
-            state = self._fresh_state(mem_inputs, reg_inputs, stats)
-            for fn in plan.steps:
-                fn(state)
-            states.append(state)
-        total, per_loc = self._outputs(states[0], states[1],
-                                       (mem_inputs, reg_inputs))
+        inputs = self._inputs_of(box.value_box(self.dims))
+        t_state, r_state = self._run(*inputs, stats)
+        total, per_loc = self._outputs(t_state, r_state, inputs)
         return total, per_loc, stats
 
-    def analyze_interpretive(
-        self, box: BitBox
-    ) -> Tuple[float, Dict[str, float], TransferStats]:
-        """Reference path: the original per-instruction dispatcher.
-
-        Faithful to the historical engine including its cost model: the
-        memory image is copied per program per box, as the original
-        ``analyze`` did (states never mutate Memory — stores land in the
-        ``mem_stores`` overlay — so the copies are semantically inert,
-        and the compiled path drops them).
-        """
-        stats = TransferStats(boxes=1)
-        mem_inputs, reg_inputs = self._inputs_of(box.value_box(self.dims))
-        t_state = _run_interval(self.target, self.memory.copy(),
-                                self.concrete_gp, mem_inputs, reg_inputs,
-                                stats)
-        r_state = _run_interval(self.rewrite, self.memory.copy(),
-                                self.concrete_gp, mem_inputs, reg_inputs,
-                                stats)
-        total, per_loc = self._outputs(t_state, r_state,
-                                       (mem_inputs, reg_inputs))
-        return total, per_loc, stats
-
-    # -- engine work units -------------------------------------------------
+    # -- BnB work units ----------------------------------------------------
 
     def analyze_unit(
         self, box: BitBox
@@ -1358,8 +791,8 @@ class IntervalTransfer:
         """One box as a BnB work unit.
 
         Failure is data, not control flow: an unsupported program costs
-        exactly a ``(1, 0, 0)`` stats delta, matching the historical
-        engine (partial bit-op counts of a failed run are dropped).
+        exactly a ``(1, 0, 0)`` stats delta (partial bit-op counts of a
+        failed run are dropped).
         """
         try:
             total, per_loc, stats = self.analyze_with_stats(box)

@@ -160,6 +160,12 @@ class TestVerify:
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_verify_takes_no_engine_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--kernel", "exp", "--engine", "reference"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_check_cert_rejects_wrong_program(self, tmp_path, capsys):
         cert = tmp_path / "exp.cert.json"
         rc = main(["verify", "--kernel", "exp", "--degree", "8",

@@ -1,11 +1,12 @@
-"""Identity and determinism tests for the batched BnB engine.
+"""Precision, identity and determinism tests for the BnB verifier.
 
-The batched engine's contract is stronger than soundness: for a fixed
-:class:`BnBConfig` its refinement order, leaf tiling, certified bound,
-and certificate bytes are those of the reference engine, and survive a
-mid-run checkpoint/resume.  These tests pin each clause against the
-reference engine and against brute-force oracles.  Prefix sharing is
-pinned per split in ``test_transfer_compile.py``.
+For a fixed :class:`BnBConfig` the refinement order, leaf tiling,
+certified bound, and certificate bytes are deterministic and survive a
+mid-run checkpoint/resume.  Certified bounds and bit-op accounting are
+pinned as literals, so a transfer that stays sound but gets looser
+fails here; soundness itself is pinned against concrete execution in
+``test_containment.py``, prefix sharing per split in
+``test_transfer_compile.py``.
 """
 
 import hashlib
@@ -61,41 +62,45 @@ def _cert_digest(verifier, result, config):
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
+def _stats_triple(result):
+    return (result.stats.boxes, result.stats.concrete_bit_ops,
+            result.stats.widened_bit_ops)
+
+
 def _partition(result):
     return (result.bound_ulps, result.leaf_bounds,
             [box.bounds for box in result.leaves])
 
 
-class TestEngineIdentity:
-    @pytest.mark.parametrize("name", ["sin", "log"])
-    def test_batched_matches_reference_cert(self, name):
-        verifier = _libimf_verifier(name)
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref = verifier.run(ref_cfg)
-        bat = verifier.run(bat_cfg)
-        assert _partition(bat) == _partition(ref)
-        # Certificates must be byte-identical: engine choice is not a
-        # certified input, so the digests use the same config.
-        cfg = BnBConfig(max_boxes=64)
-        assert _cert_digest(verifier, bat, cfg) == \
-            _cert_digest(verifier, ref, cfg)
+class TestPinnedPrecision:
+    """Bound, tightest leaf and (boxes, concrete, widened) stats triple,
+    as literals: any change to a transfer's precision shows here."""
 
-    def test_batched_matches_reference_with_seeds(self):
-        verifier = _poly_verifier()
+    @pytest.mark.parametrize("name, bound, tightest, triple", [
+        ("sin", 9.184978472122525e+18, 6512408849315093.0, (65, 0, 0)),
+        ("log", 9.220786992498208e+18, 110947732.0, (65, 100, 1460)),
+    ])
+    def test_libimf_separate(self, name, bound, tightest, triple):
+        result = _libimf_verifier(name).run(BnBConfig(max_boxes=64))
+        assert result.bound_ulps == bound
+        assert min(result.leaf_bounds) == tightest
+        assert _stats_triple(result) == triple
+
+    def test_poly_with_seed(self):
         seeds = ((  # a fabricated counterexample inside the range
             (1.25,), 2.0),)
-        ref = verifier.run(BnBConfig(max_boxes=48, seeds=seeds,
-                                     engine="reference"))
-        bat = verifier.run(BnBConfig(max_boxes=48, seeds=seeds,
-                                     engine="batched"))
-        assert _partition(bat) == _partition(ref)
-        assert bat.seeds_covered == ref.seeds_covered
-        assert bat.boxes_pruned == ref.boxes_pruned
+        result = _poly_verifier().run(BnBConfig(max_boxes=48, seeds=seeds))
+        assert result.bound_ulps == 4503599627370498.0
+        assert min(result.leaf_bounds) == 590558004.0
+        assert _stats_triple(result) == (49, 0, 0)
+        assert result.seeds_covered == 1
+        assert result.boxes_pruned == 0
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown BnB engine"):
-            _poly_verifier().run(BnBConfig(max_boxes=8, engine="turbo"))
+    def test_config_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(BnBConfig)] == \
+            ["max_boxes", "deadline", "target_gap", "seeds"]
 
 
 class TestCoveredSeedCount:
@@ -138,10 +143,9 @@ class TestCoveredSeedCount:
 
 
 class TestCheckpointResume:
-    """A mid-round interrupt/resume under the batched engine reproduces
-    the uninterrupted run bit-for-bit — bound, leaf tiling, and
-    certificate digest — whether snapshots are taken every round or
-    every third round."""
+    """A mid-round interrupt/resume reproduces the uninterrupted run
+    bit-for-bit — bound, leaf tiling, and certificate digest — whether
+    snapshots are taken every round or every third round."""
 
     @pytest.mark.parametrize("every", [1, 3])
     def test_resume_bit_identical(self, every):
@@ -168,19 +172,6 @@ class TestCheckpointResume:
         assert resumed.boxes_pruned == baseline.boxes_pruned
         assert _cert_digest(verifier, resumed, config) == \
             _cert_digest(verifier, baseline, config)
-
-    def test_resume_under_reference_engine_matches_batched(self):
-        # Checkpoints are engine-portable: a snapshot written by one
-        # engine resumes under the other to the identical partition.
-        verifier = _poly_verifier()
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        baseline = verifier.run(bat_cfg)
-        snapshots = []
-        verifier.run(bat_cfg, checkpoint_rounds=5,
-                     on_checkpoint=snapshots.append)
-        resumed = verifier.run(ref_cfg, resume=snapshots[0])
-        assert _partition(resumed) == _partition(baseline)
 
 
 class TestCheckpointThrottle:

@@ -237,9 +237,8 @@ class TestAllKernelsCertify:
 
 
 class TestUnsupportedForms:
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
     @pytest.mark.parametrize("domain", ["separate", "relational"])
-    def test_movd_from_widened_register_is_unsupported(self, domain, engine):
+    def test_movd_from_widened_register_is_unsupported(self, domain):
         # cvttsd2si leaves rax holding an IntInterval; movd from it must be
         # declared unsupported (a +inf, incomplete bound), not crash.
         spec = LIBIMF_KERNELS["exp"]()
@@ -247,7 +246,7 @@ class TestUnsupportedForms:
         rewrite = Program(spec.program.code + tail.code)
         verifier = BnBVerifier(spec.program, rewrite, spec.live_outs,
                                dict(spec.ranges), domain=domain)
-        result = verifier.run(BnBConfig(max_boxes=16, engine=engine))
+        result = verifier.run(BnBConfig(max_boxes=16))
         assert result.unsupported > 0
         assert not result.complete
         assert math.isinf(result.bound_ulps)

@@ -1,12 +1,12 @@
 """Relational-domain BnB integration: checkpoints, certificates, and
 forged-document rejection.
 
-The relational domain plugs into the batched BnB engine, so every
-engine-level identity — checkpoint/resume bit-identity,
-engine-portable snapshots — must hold unchanged with
-``domain='relational'``; and its certificates must round-trip through
-the independent checker, which re-derives each leaf in the same
-domain and rejects tampered or forged documents.
+The relational domain plugs into the same BnB search, so
+checkpoint/resume bit-identity must hold unchanged with
+``domain='relational'``; its bounds and accounting are pinned as
+literals; and its certificates must round-trip through the independent
+checker, which re-derives each leaf in the same domain and rejects
+tampered or forged documents.
 """
 
 import dataclasses
@@ -93,19 +93,6 @@ class TestRelationalCheckpointResume:
         assert _cert_digest(verifier, resumed, config) == \
             _cert_digest(verifier, baseline, config)
 
-    def test_checkpoints_engine_portable(self):
-        # A relational snapshot written by the batched engine resumes
-        # under the reference engine to the identical partition.
-        verifier = _poly_verifier()
-        bat_cfg = BnBConfig(max_boxes=64, engine="batched")
-        ref_cfg = BnBConfig(max_boxes=64, engine="reference")
-        baseline = verifier.run(bat_cfg)
-        snapshots = []
-        verifier.run(bat_cfg, checkpoint_rounds=5,
-                     on_checkpoint=snapshots.append)
-        resumed = verifier.run(ref_cfg, resume=snapshots[0])
-        assert _partition(resumed) == _partition(baseline)
-
     def test_domain_mismatch_rejected(self):
         # Resuming a separate-domain checkpoint in a relational search
         # (or vice versa) would mix incomparable leaf partitions.
@@ -131,16 +118,21 @@ class TestRelationalCheckpointResume:
         assert _partition(resumed) == _partition(baseline)
 
 
-class TestRelationalEngineIdentity:
-    @pytest.mark.parametrize("name", ["exp", "tan"])
-    def test_batched_matches_reference(self, name):
-        verifier = _libimf_verifier(name)
-        ref = verifier.run(BnBConfig(max_boxes=48, engine="reference"))
-        bat = verifier.run(BnBConfig(max_boxes=48, engine="batched"))
-        assert _partition(bat) == _partition(ref)
-        cfg = BnBConfig(max_boxes=48)
-        assert _cert_digest(verifier, bat, cfg) == \
-            _cert_digest(verifier, ref, cfg)
+class TestRelationalPinnedPrecision:
+    """Bound, tightest leaf and (boxes, concrete, widened) stats triple,
+    as literals: any change to a transfer's or the difference window's
+    precision shows here."""
+
+    @pytest.mark.parametrize("name, bound, tightest, triple", [
+        ("exp", 9.22859748745458e+18, 4.0, (49, 140, 350)),
+        ("tan", 1.843773687445481e+19, 121.0, (49, 0, 0)),
+    ])
+    def test_libimf_relational(self, name, bound, tightest, triple):
+        result = _libimf_verifier(name).run(BnBConfig(max_boxes=48))
+        assert result.bound_ulps == bound
+        assert min(result.leaf_bounds) == tightest
+        assert (result.stats.boxes, result.stats.concrete_bit_ops,
+                result.stats.widened_bit_ops) == triple
 
 
 class TestRelationalCertificates:
