@@ -20,7 +20,7 @@ CI and fails if fewer than ``--min-kernels`` kernels reach the
 ``--min-ratio`` floor::
 
     PYTHONPATH=src python benchmarks/bench_verify.py \\
-        --out BENCH_verify.json --min-ratio 0.2 --min-kernels 3
+        --out BENCH_verify.json --min-ratio 0.22 --min-kernels 3
 """
 
 import json

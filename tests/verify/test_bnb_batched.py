@@ -17,9 +17,11 @@ import random
 import pytest
 
 from repro.x86.assembler import assemble
+from repro.x86.memory import Memory
 from repro.x86.testcase import TestCase
 
 from repro.core.serialize import canonical_json
+from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import exhaustive_check
 from repro.verify.bnb import BnBConfig, BnBVerifier
@@ -54,6 +56,15 @@ def _libimf_verifier(name):
                        dict(spec.ranges))
 
 
+def _delta_verifier():
+    spec = V.delta_kernel()
+    ranges = dict(spec.ranges)
+    ranges.update(V.delta_mem_ranges())
+    return BnBVerifier(spec.program, V.delta_rewrite(), spec.live_outs,
+                       ranges, memory=Memory(V.aek_segments()),
+                       concrete_gp=V.CONCRETE_GP_INDICES)
+
+
 def _cert_digest(verifier, result, config):
     """Certificate identity: canonical bytes with wall time scrubbed
     (the same scrub the campaign worker applies before storing)."""
@@ -78,6 +89,7 @@ class TestPinnedPrecision:
 
     @pytest.mark.parametrize("name, bound, tightest, triple", [
         ("sin", 9.184978472122525e+18, 6512408849315093.0, (65, 0, 0)),
+        ("cos", 9.190539867128674e+18, 8490.0, (65, 0, 0)),
         ("log", 9.220786992498208e+18, 110947732.0, (65, 100, 1460)),
     ])
     def test_libimf_separate(self, name, bound, tightest, triple):
@@ -85,6 +97,13 @@ class TestPinnedPrecision:
         assert result.bound_ulps == bound
         assert min(result.leaf_bounds) == tightest
         assert _stats_triple(result) == triple
+
+    def test_delta_separate(self):
+        # Memory-backed dimensions and MemLoc live-outs.
+        result = _delta_verifier().run(BnBConfig(max_boxes=64))
+        assert result.bound_ulps == 5632478973.0
+        assert min(result.leaf_bounds) == 1904870798.0
+        assert _stats_triple(result) == (65, 0, 0)
 
     def test_poly_with_seed(self):
         seeds = ((  # a fabricated counterexample inside the range

@@ -124,25 +124,21 @@ def _violations(transfer, boxes, base, rng, interior=6, leaf_bounds=None):
         for p, outs in enumerate(_abstract_outputs(transfer, box)):
             if outs is None:
                 continue
-            claims = [(k, loc, abstract) for k, (loc, abstract)
+            claims = [(j, loc, abstract) for j, (loc, abstract)
                       in enumerate(zip(transfer.locations, outs))
                       if abstract is not None and abstract is not TOP]
             for point, (bits, signal) in zip(points, runs[p]):
                 if signal is not None:
                     found.append((p, point, "signal", signal))
                     continue
-                for k, loc, abstract in claims:
-                    value = decode_from(loc, bits[k])
+                for j, loc, abstract in claims:
+                    value = decode_from(loc, bits[j])
                     if not _inside(abstract, value):
                         found.append((p, point, str(loc), value, abstract))
         if leaf_bounds is None or not math.isfinite(leaf_bounds[k]):
             continue
         for point, (t_bits, t_sig), (r_bits, r_sig) in zip(points, *runs):
             if t_sig is not None or r_sig is not None:
-                continue
-            if any(math.isnan(decode_from(loc, raw))
-                   for bits in (t_bits, r_bits)
-                   for loc, raw in zip(transfer.locations, bits)):
                 continue
             err = sum(location_ulp_distance(loc, r, t) for loc, t, r in
                       zip(transfer.locations, t_bits, r_bits))
@@ -428,3 +424,37 @@ def test_oracle_flags_an_unsound_output():
     found = _violations(transfer, [transfer.root], TestCase({}),
                         random.Random(0), interior=4)
     assert found and all(item[0] == 0 for item in found)
+
+
+def test_oracle_flags_a_leaf_bound_below_the_concrete_error():
+    # The bound arm compares each leaf's concrete error with that leaf's
+    # own bound: an infinite first bound must not hide a later leaf
+    # whose bound is too small.
+    target = assemble("addsd xmm0, xmm0\n")
+    rewrite = assemble("movq $1.0d, xmm1\naddsd xmm1, xmm0\n")
+    verifier = BnBVerifier(target, rewrite, ["xmm0:d"],
+                           {"xmm0:d": (2.0, 4.0)})
+    leaves = verifier.run(BnBConfig(max_boxes=4)).leaves
+    assert len(leaves) > 1
+    bounds = [math.inf] * (len(leaves) - 1) + [0.0]
+    found = _violations(verifier.transfer, leaves, TestCase({}),
+                        random.Random(0), interior=4, leaf_bounds=bounds)
+    assert found and all(item[0] == "bound" and item[3] == 0.0
+                         for item in found)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_interval_ulp_pair gives the output [-inf, inf] a finite bound, "
+    "but a concrete NaN lies farther from -1.0 than either infinity"))
+def test_nan_output_stays_within_its_leaf_bound():
+    # 0/0 is NaN; the certified bound (1.3826e19) is below the concrete
+    # error from -1.0 (1.3828e19).
+    target = assemble("divsd xmm0, xmm0\n")
+    rewrite = assemble("movq $0xbff0000000000000, xmm0\n")
+    verifier = BnBVerifier(target, rewrite, ["xmm0:d"],
+                           {"xmm0:d": (0.0, 0.0)})
+    result = verifier.run(BnBConfig(max_boxes=4))
+    assert result.complete and math.isfinite(result.bound_ulps)
+    found = _violations(verifier.transfer, result.leaves, TestCase({}),
+                        random.Random(0), leaf_bounds=result.leaf_bounds)
+    assert found == []

@@ -16,8 +16,10 @@ import json
 import pytest
 
 from repro.x86.assembler import assemble
+from repro.x86.memory import Memory
 
 from repro.core.serialize import canonical_json
+from repro.kernels.aek import vector as V
 from repro.kernels.libimf import LIBIMF_KERNELS
 from repro.verify import checker
 from repro.verify.bnb import BnBCheckpoint, BnBConfig, BnBVerifier
@@ -51,6 +53,16 @@ def _libimf_verifier(name, domain="relational"):
     rewrite = factory(REDUCED_DEGREE[name]).program
     return BnBVerifier(spec.program, rewrite, spec.live_outs,
                        dict(spec.ranges), domain=domain)
+
+
+def _delta_verifier():
+    spec = V.delta_kernel()
+    ranges = dict(spec.ranges)
+    ranges.update(V.delta_mem_ranges())
+    return BnBVerifier(spec.program, V.delta_rewrite(), spec.live_outs,
+                       ranges, domain="relational",
+                       memory=Memory(V.aek_segments()),
+                       concrete_gp=V.CONCRETE_GP_INDICES)
 
 
 def _partition(result):
@@ -124,6 +136,7 @@ class TestRelationalPinnedPrecision:
     precision shows here."""
 
     @pytest.mark.parametrize("name, bound, tightest, triple", [
+        ("cos", 9.021136428344101e+18, 8473.0, (49, 0, 0)),
         ("exp", 9.22859748745458e+18, 4.0, (49, 140, 350)),
         ("tan", 1.843773687445481e+19, 121.0, (49, 0, 0)),
     ])
@@ -133,6 +146,14 @@ class TestRelationalPinnedPrecision:
         assert min(result.leaf_bounds) == tightest
         assert (result.stats.boxes, result.stats.concrete_bit_ops,
                 result.stats.widened_bit_ops) == triple
+
+    def test_delta_relational(self):
+        # Memory-backed dimensions and MemLoc live-outs.
+        result = _delta_verifier().run(BnBConfig(max_boxes=48))
+        assert result.bound_ulps == 5898954768.0
+        assert min(result.leaf_bounds) == 1999008961.0
+        assert (result.stats.boxes, result.stats.concrete_bit_ops,
+                result.stats.widened_bit_ops) == (49, 0, 0)
 
 
 class TestRelationalCertificates:
